@@ -108,7 +108,6 @@ from .tails import (
     MaximalTail,
     PrimIdealDescriptor,
     TailConsistencyError,
-    TailGuardError,
     classify_tail,
     is_maximal_tail,
     maximal_tails,

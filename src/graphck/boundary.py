@@ -150,10 +150,6 @@ def canonicalize(prefix: Path, period: Path) -> BoundaryPath:
     return BoundaryPath(pre, per)
 
 
-def first_edge(x: BoundaryPath) -> str | None:
-    return x.edge_at(0)
-
-
 def shift(x: BoundaryPath) -> BoundaryPath:
     """Drop the range-most edge; exhausts on an empty finite path."""
     e = x.edge_at(0)

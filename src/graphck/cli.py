@@ -35,7 +35,7 @@ from .reps import (
     twisted_boundary,
     verify_relations,
 )
-from .tails import TailGuardError, maximal_tails, prim_ideal_catalog
+from .tails import prim_ideal_catalog
 from .transform import reduced_graph, toeplitz_graph
 
 EXIT_OK = 0
@@ -130,8 +130,7 @@ def _cmd_transform(args) -> int:
 def _cmd_tails(args) -> int:
     g = _load_graph(args.graph)
     target = toeplitz_graph(g).graph if args.toeplitz_of else g
-    tails = maximal_tails(target, guard=args.max_vertices)
-    catalog = prim_ideal_catalog(target, guard=args.max_vertices)
+    catalog = prim_ideal_catalog(target)
     result = {
         "over": "toeplitz" if args.toeplitz_of else "input",
         "tails": [
@@ -144,7 +143,7 @@ def _cmd_tails(args) -> int:
                     else {}
                 ),
             }
-            for t in tails
+            for t in (d.tail for d in catalog)
         ],
         "primIdeals": [
             {
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="catalog the Toeplitz graph of the input instead of the input",
     )
-    p.add_argument("--max-vertices", type=int, default=16, help="enumeration guard")
     p.set_defaults(func=_cmd_tails)
 
     p = sub.add_parser("verify", help="check family relations in a representation")
@@ -302,7 +300,6 @@ def main(argv=None) -> int:
         ExprError,
         ExactnessError,
         CycleCountError,
-        TailGuardError,
         ValueError,
         OSError,
     ) as err:

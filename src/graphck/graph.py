@@ -126,6 +126,10 @@ class Graph:
         ids = [e for e, _, _ in triples]
         if len(ids) != len(set(ids)):
             raise GraphError("duplicate edge id")
+        # to_text() must parse back to this graph, and fingerprint() hashes it
+        for x in vs + ids:
+            if not (isinstance(x, str) and _ID_RE.fullmatch(x)):
+                raise GraphError(f"id {x!r} is not expressible in the text format")
         vset = set(vs)
         src: dict[str, str] = {}
         rng: dict[str, str] = {}

@@ -6,30 +6,34 @@ paths into M, (MT2) extendable inside M at every edge-receiving vertex, and
 no entrance inside M (necessarily unique up to rotation), gauge-type
 otherwise; the catalog lists one symbolic primitive-ideal descriptor per
 tail, with a free circle parameter z on the circle-type ones.
+
+On a finite graph the maximal tails correspond one-to-one to the *bottoms* a
+boundary path can end in: the sources of the graph and the strongly
+connected components that carry a cycle.  The tail of a bottom B is the set
+of vertices B reaches, ``{v : reach_map(g)[v] & B}``.  It is circle-type
+exactly when B carries exactly |B| internal edges: B is then the vertex set
+of one cycle, and no edge from inside the tail enters it.  Any other cycle in
+the tail has an entrance there.  See Bates, Hong, Raeburn and Szymanski, The
+ideal structure of the C*-algebras of infinite graphs, Illinois J. Math. 46
+(2002), and Hong and Szymanski, The primitive ideal space of the C*-algebras
+of infinite graphs, J. Math. Soc. Japan 56 (2004).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .cycles import CycleClass, cycle_class, has_entrance_in, simple_cycles
-from .graph import Graph, GraphError, reach_map
+from .cycles import CycleClass, cycle_class
+from .graph import Graph, GraphError, cyclic_components, reach_map, sources
 from .transform import ToeplitzGraph
 
 GAMMA = "gamma"
 TAU = "tau"
 
-TAIL_GUARD = 16
-
-
-class TailGuardError(GraphError):
-    """Vertex count exceeds the subset-enumeration guard."""
-
 
 class TailConsistencyError(AssertionError):
-    """A maximal tail carried two distinct entrance-free cycle classes;
-    this would falsify the uniqueness argument on a concrete instance."""
+    """A computed tail failed the direct MT1-MT3 check; this would falsify
+    the tail construction on a concrete instance."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class PrimIdealDescriptor:
 
 
 def is_maximal_tail(g: Graph, vertex_set) -> bool:
-    """Direct MT1-MT3 validation, independent of the enumerator."""
+    """Direct MT1-MT3 validation, independent of the bottom construction."""
     m = set(vertex_set)
     if not m or not m <= set(g.vertices):
         return False
@@ -66,57 +70,42 @@ def is_maximal_tail(g: Graph, vertex_set) -> bool:
         incoming = g.in_edges(v)
         if incoming and not any(g.source_of(e) in m for e in incoming):
             return False
-    for u, v in itertools.product(m, m):
-        if not any(w in rm[u] and w in rm[v] for w in m):
-            return False
-    return True
+    return all(rm[u] & rm[v] & m for u in m for v in m)
+
+
+def _tail_of_bottom(g: Graph, bottom: frozenset[str]) -> MaximalTail:
+    rm = reach_map(g)
+    members = frozenset(v for v in g.vertices if rm[v] & bottom)
+    internal = [
+        e for v in bottom for e in g.in_edges(v) if g.source_of(e) in bottom
+    ]
+    if len(internal) != len(bottom):  # a source, or a component with a branch
+        return MaximalTail(members, GAMMA)
+    # every vertex of the bottom receives exactly one internal edge
+    into = {g.range_of(e): e for e in internal}
+    start = min(bottom)
+    edges = [into[start]]
+    while g.source_of(edges[-1]) != start:
+        edges.append(into[g.source_of(edges[-1])])
+    return MaximalTail(members, TAU, cycle_class(g.path(edges)))
+
+
+def maximal_tails(g: Graph) -> list[MaximalTail]:
+    """All maximal tails, classified, in deterministic order: one per source
+    and one per cyclic strongly connected component."""
+    bottoms = [frozenset({s}) for s in sources(g)] + list(cyclic_components(g))
+    return sorted(
+        (_tail_of_bottom(g, b) for b in bottoms), key=MaximalTail.sort_key
+    )
 
 
 def classify_tail(g: Graph, vertex_set) -> MaximalTail:
-    """Attach the tail kind: circle-type iff some cycle inside the set has
-    no entrance there.  Two distinct such classes raise, since maximal tails
-    admit at most one."""
+    """The maximal tail with exactly these vertices, with its kind."""
     m = frozenset(vertex_set)
-    if not is_maximal_tail(g, m):
-        raise GraphError(f"{sorted(m)} is not a maximal tail")
-    witnesses: dict[tuple[str, ...], CycleClass] = {}
-    for cyc in simple_cycles(g):
-        if set(cyc.vertices[1:]) <= m and not has_entrance_in(g, cyc, m):
-            cls = cycle_class(cyc)
-            witnesses[cls.representative.edges] = cls
-    if len(witnesses) > 1:
-        raise TailConsistencyError(
-            f"tail {sorted(m)} holds multiple entrance-free classes: "
-            f"{sorted(witnesses)}"
-        )
-    if witnesses:
-        (cls,) = witnesses.values()
-        return MaximalTail(m, TAU, cls)
-    return MaximalTail(m, GAMMA, None)
-
-
-def maximal_tails(g: Graph, guard: int = TAIL_GUARD) -> list[MaximalTail]:
-    """All maximal tails, classified, in deterministic order.
-
-    Exhaustive over vertex subsets with an MT1 closure pre-filter; guarded
-    because the enumeration is exponential in the vertex count.
-    """
-    n = len(g.vertices)
-    if n > guard:
-        raise TailGuardError(
-            f"{n} vertices exceed the enumeration guard ({guard})"
-        )
-    rm = reach_map(g)
-    tails = []
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(g.vertices, r):
-            m = set(combo)
-            closure = {v for v in g.vertices if rm[v] & m}
-            if closure != m:
-                continue
-            if is_maximal_tail(g, m):
-                tails.append(classify_tail(g, m))
-    return sorted(tails, key=MaximalTail.sort_key)
+    for tail in maximal_tails(g):
+        if tail.vertices == m:
+            return tail
+    raise GraphError(f"{sorted(m)} is not a maximal tail")
 
 
 def tail_of_class(tg: ToeplitzGraph, cls: CycleClass) -> MaximalTail:
@@ -144,11 +133,12 @@ def tail_of_class(tg: ToeplitzGraph, cls: CycleClass) -> MaximalTail:
     return tail
 
 
-def prim_ideal_catalog(g: Graph, guard: int = TAIL_GUARD) -> list[PrimIdealDescriptor]:
-    """One descriptor per tail: projections off the tail, plus the symbolic
-    circle pin z * p_{r(mu)} - s_mu for circle-type tails."""
+def prim_ideal_catalog(g: Graph) -> list[PrimIdealDescriptor]:
+    """One descriptor per tail, in the order of ``maximal_tails``:
+    projections off the tail, plus the symbolic circle pin
+    z * p_{r(mu)} - s_mu for circle-type tails."""
     out = []
-    for tail in maximal_tails(g, guard):
+    for tail in maximal_tails(g):
         gens = tuple(f"p[{w}]" for w in g.vertices if w not in tail.vertices)
         if tail.kind == TAU:
             mu = tail.cycle_class.representative

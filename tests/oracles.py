@@ -7,6 +7,8 @@ library is a genuine two-route check rather than a tautology.
 
 from __future__ import annotations
 
+import itertools
+
 from graphck import Graph
 
 
@@ -68,3 +70,67 @@ def cofinal_oracle(g: Graph) -> bool:
             if not any(x in r for x in walk):
                 return False
     return True
+
+
+def _is_tail_oracle(g: Graph, m: set[str], reach: dict[str, set[str]]) -> bool:
+    """MT1-MT3 from the definitions: closed forward, extendable backward
+    inside m at every receiving vertex, and any two members have a common
+    ancestor in m."""
+    if any(v not in m and reach[v] & m for v in g.vertices):
+        return False
+    for v in m:
+        ins = g.in_edges(v)
+        if ins and all(g.source_of(e) not in m for e in ins):
+            return False
+    return all(
+        any(w in reach[u] and w in reach[v] for w in m) for u in m for v in m
+    )
+
+
+def _free_cycles_within(g: Graph, m: set[str]) -> set[tuple[str, ...]]:
+    """Cycles inside m with no entrance from m, as least edge rotations: on
+    such a cycle every vertex receives exactly one edge from m, so chase the
+    unique in-edges from each vertex and keep the loops found."""
+    found = set()
+    for v in m:
+        trail: list[str] = []
+        seen = {v}
+        cur = v
+        while True:
+            ins = [e for e in g.in_edges(cur) if g.source_of(e) in m]
+            if len(ins) != 1:
+                break
+            trail.append(ins[0])
+            cur = g.source_of(ins[0])
+            if cur in seen:
+                if cur == v:
+                    found.add(min(tuple(trail[k:] + trail[:k]) for k in range(len(trail))))
+                break
+            seen.add(cur)
+    return found
+
+
+def maximal_tails_oracle(g: Graph) -> list[tuple[frozenset[str], str, tuple[str, ...] | None]]:
+    """Every vertex subset passing MT1-MT3, as (vertices, kind, least
+    rotation of the tail's entrance-free cycle or None), sorted by size and
+    then by sorted vertex ids.  Exponential in the vertex count."""
+    reach = {v: _reaches(g, v) for v in g.vertices}
+    out = []
+    for r in range(1, len(g.vertices) + 1):
+        for combo in itertools.combinations(g.vertices, r):
+            m = set(combo)
+            if not _is_tail_oracle(g, m, reach):
+                continue
+            free = _free_cycles_within(g, m)
+            assert len(free) <= 1, (sorted(m), free)
+            cyc = next(iter(free), None)
+            out.append((frozenset(m), "gamma" if cyc is None else "tau", cyc))
+    return sorted(out, key=lambda t: (len(t[0]), tuple(sorted(t[0]))))
+
+
+def tail_triples(tails) -> list[tuple[frozenset[str], str, tuple[str, ...] | None]]:
+    """Library ``MaximalTail`` objects in the oracle's form."""
+    return [
+        (t.vertices, t.kind, t.cycle_class.representative.edges if t.cycle_class else None)
+        for t in tails
+    ]

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
+from graphck import Graph, is_maximal_tail, sources
 from graphck.cli import main
+from graphck.graph import cyclic_components
 from corpus import g1_loop, g2_cyc2, g3_ent, g4_line
 
 
@@ -131,11 +134,33 @@ def test_tails_plain(files, capsys):
     assert [t["kind"] for t in result["tails"]] == ["gamma"]
 
 
-def test_tails_guard(files, capsys, tmp_path):
+def _tails_of_file(capsys, path):
+    code, out, _ = _run(capsys, ["tails", str(path)])
+    assert code == 0
+    return json.loads(out)["result"]["tails"]
+
+
+def test_tails_twenty_isolated_vertices(capsys, tmp_path):
     big = tmp_path / "big.graph"
     big.write_text("".join(f"vertex v{i}\n" for i in range(20)))
-    code, _, err = _run(capsys, ["tails", str(big)])
-    assert code == 2 and "guard" in err
+    tails = _tails_of_file(capsys, big)
+    assert tails == [
+        {"vertices": [v], "kind": "gamma"} for v in sorted(f"v{i}" for i in range(20))
+    ]
+
+
+def test_tails_of_a_large_graph_are_maximal(capsys, tmp_path):
+    rng = random.Random(40)
+    n = 48
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(n)]
+    g = Graph(vs, edges)
+    path = tmp_path / "large.graph"
+    path.write_text(g.to_text())
+    tails = _tails_of_file(capsys, path)
+    assert len(tails) == len(sources(g)) + len(cyclic_components(g)) > 1
+    for t in tails:
+        assert is_maximal_tail(g, t["vertices"])
 
 
 def test_verify_left_regular_ck_fails(files, capsys):

@@ -64,6 +64,16 @@ def test_graph_validation():
         Graph(["v"], [("e", "v", "v"), ("e", "v", "v")])
 
 
+def test_graph_rejects_ids_the_text_format_cannot_express():
+    for bad in ("a b", "v#", "", "v\n", "a->b"):
+        with pytest.raises(GraphError, match="not expressible"):
+            Graph([bad], [])
+        with pytest.raises(GraphError, match="not expressible"):
+            Graph(["v"], [(bad, "v", "v")])
+    with pytest.raises(GraphError, match="not expressible"):
+        Graph([1], [])
+
+
 def test_roundtrip_text_and_fingerprint():
     g = g3_ent()
     assert parse_graph(g.to_text()) == g

@@ -15,6 +15,8 @@ from graphck import (
     entrance_free_classes,
     has_entrance_in,
     is_cofinal,
+    maximal_tails,
+    parse_graph,
     prepend,
     reduced_graph,
     rotations,
@@ -24,7 +26,7 @@ from graphck import (
 )
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
-from oracles import cofinal_oracle
+from oracles import cofinal_oracle, maximal_tails_oracle, tail_triples
 
 
 @st.composite
@@ -189,3 +191,15 @@ def test_rotation_canonicalization_idempotent(data):
         period
     )
     assert cycle_class(period) == cycle_class(canonical_rotation(period))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=6, max_edges=9))
+def test_maximal_tails_match_oracle(g):
+    assert tail_triples(maximal_tails(g)) == maximal_tails_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_text_round_trip(g):
+    assert parse_graph(g.to_text()) == g

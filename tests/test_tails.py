@@ -2,7 +2,6 @@ import pytest
 
 from graphck import (
     Graph,
-    TailGuardError,
     classify_tail,
     entrance_free_classes,
     maximal_tails,
@@ -11,7 +10,8 @@ from graphck import (
     toeplitz_graph,
     is_maximal_tail,
 )
-from corpus import CORPUS, g1_loop, g2_cyc2, g3_ent, g4_line
+from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, random_graphs
+from oracles import maximal_tails_oracle, tail_triples
 
 
 def test_tails_of_toeplitz_loop():
@@ -156,8 +156,18 @@ def test_prim_ideal_catalog_examples():
     ]
 
 
-def test_tail_guard():
-    big = Graph([f"v{i}" for i in range(17)], [])
-    with pytest.raises(TailGuardError):
-        maximal_tails(big)
-    assert len(maximal_tails(Graph([f"v{i}" for i in range(4)], []), guard=4)) == 4
+def test_isolated_vertices_are_their_own_gamma_tails():
+    for n in (17, 20):
+        g = Graph([f"v{i}" for i in range(n)], [])
+        assert [(t.vertices, t.kind) for t in maximal_tails(g)] == [
+            (frozenset({v}), "gamma") for v in g.vertices
+        ]
+
+
+def test_maximal_tails_match_subset_oracle():
+    graphs = [g for _, g in CORPUS + EXTRAS]
+    graphs += [toeplitz_graph(g).graph for g in graphs]
+    for seed, density in ((11, 0.1), (12, 0.2), (13, 0.3), (14, 0.5)):
+        graphs += random_graphs(seed, 40, max_vertices=9, density=density)
+    for g in graphs:
+        assert tail_triples(maximal_tails(g)) == maximal_tails_oracle(g), g.to_text()
