@@ -7,10 +7,33 @@ s_alpha s_beta^* sends xi_{beta.y} to xi_{alpha.y} and kills everything
 else.  The twisted kind multiplies by a unit phase per cutting-set edge
 traversed in alpha and by the conjugate per edge in beta.
 
-Operator equality is decided on the canonical test set of depth
+Operator equality on exact Gaussian inputs (representation and both
+elements in Gaussian mode) is decided in closed form.  On the left-regular
+representation the monomials s_alpha s_beta^* are linearly independent
+(the Cohn path algebra basis), so equal operators are formally equal
+elements.  The boundary, omega and twisted boundary representations satisfy
+the Cuntz-Krieger relation at every receiving vertex (a twisted element is
+first rescaled by kappa(alpha) * conj kappa(beta) per term): each beta is
+extended through the in-edges of its source until every beta has the
+longest length L or starts at a source, which makes the cylinders Z(beta)
+disjoint, so the difference vanishes exactly when every column
+sum_alpha c_alpha s_alpha vanishes on the paths y at w = s(beta).  When the
+in-edge chase from w is forced (one in-edge at each step, ending at a source
+or around an entrance-free cycle), w carries the single boundary path y_w,
+and alpha.y_w = alpha'.y_w exactly when alpha and alpha' agree once stripped
+of trailing powers of the entrance-free rotation at w (``w_normal_form``,
+which strips nothing unless w lies on that cycle).  Otherwise some boundary
+path y at w is not purely periodic at w, the outputs alpha.y are distinct,
+and w lies on no entrance-free cycle.  So the operators agree exactly when
+the refined elements agree after ``w_normal_form`` on every alpha.  Omega
+follows the same rule: a vertex on an entrance-free cycle is forced, and
+elsewhere no omega path is purely periodic while ``omega_supported`` keeps
+the omega space at w nonempty.
+
+Polar and complex inputs are compared on the canonical test set of depth
 L + |vertices| + max cycle length, which realizes every prefix an operator
 with keys of length <= L can inspect; a seeded random deep-walk basis
-provides an independent second route for the same decision.
+provides an independent route for the same decision.
 """
 
 from __future__ import annotations
@@ -21,7 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exact
-from .algebra import AlgebraElement, GeneratorFamily, canonical_family, ck_defect
+from .algebra import (
+    AlgebraElement,
+    GeneratorFamily,
+    canonical_family,
+    ck_defect,
+    w_normal_form,
+)
 from .boundary import (
     BoundaryPath,
     boundary_set,
@@ -39,7 +68,7 @@ from .cycles import (
 )
 from .exact import GAUSSIAN, POLAR, COMPLEX, Phase
 from .graph import Graph, GraphError, Path, enumerate_paths, sources
-from .transform import as_phase
+from .transform import GeneratorRescaling, as_phase
 
 LEFT_REGULAR = "left-regular"
 BOUNDARY = "boundary"
@@ -197,15 +226,42 @@ def equality_depth(rep: Representation, *elems: AlgebraElement) -> int:
     return longest + len(rep.graph.vertices) + _max_cycle_len(rep.graph)
 
 
-def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement,
-                   depth: int | None = None) -> bool:
-    """Equality of the induced operators, decided on the canonical test set."""
-    if depth is None:
-        depth = equality_depth(rep, a, b)
+def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) -> bool:
+    """Equality of the induced operators: in closed form on exact Gaussian
+    inputs, on the canonical test set otherwise (see the module docstring)."""
+    if rep.mode == a.mode == b.mode == GAUSSIAN:
+        if rep.kind == LEFT_REGULAR:
+            return a == b
+        g = rep.graph
+        if rep.kind == TWISTED:
+            untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa, ()).rescale_element
+            a, b = untwist(a), untwist(b)
+        length = max((len(beta) for e in (a, b) for _, beta in e.terms), default=0)
+        return _boundary_normal_form(g, a, length) == _boundary_normal_form(g, b, length)
+    depth = equality_depth(rep, a, b)
     return all(
         combos_equal(apply(rep, a, x), apply(rep, b, x))
         for x in basis_elements(rep, depth)
     )
+
+
+def _boundary_normal_form(g: Graph, a: AlgebraElement, length: int) -> AlgebraElement:
+    """``a`` with every beta extended through the in-edges of its source (the
+    CK relation) until it has ``length`` edges or starts at a source, and
+    every alpha stripped of trailing entrance-free rotations (s_mu = p)."""
+    out: dict = {}
+    todo = list(a.terms.items())
+    while todo:
+        (alpha, beta), c = todo.pop()
+        ins = g.in_edges(beta.source)
+        if ins and len(beta) < length:
+            for e in ins:
+                step = g.edge_path(e)
+                todo.append(((alpha.concat(step), beta.concat(step)), c))
+            continue
+        key = (w_normal_form(g, alpha), beta)
+        out[key] = exact.add(out[key], c) if key in out else c
+    return AlgebraElement(out, a.mode)
 
 
 @dataclass(frozen=True)
@@ -461,12 +517,15 @@ def _deep_walk_basis(g: Graph, kind: str, depth: int, walks: int, seed: int):
     rng = random.Random(f"{seed}|{kind}|{g.fingerprint()}|{depth}|{walks}")
     out = []
     if kind == LEFT_REGULAR:
+        # every prefix of a walk is kept: a difference whose shortest beta is
+        # b acts nonzero on xi_b, which a walk passes through but rarely stops at
         for _ in range(walks):
             p = g.empty_path(rng.choice(g.vertices))
+            out.append(p)
             target = rng.randint(0, depth)
             while len(p) < target and g.in_edges(p.source):
                 p = p.concat(g.edge_path(rng.choice(g.in_edges(p.source))))
-            out.append(p)
+                out.append(p)
         return tuple(sorted(set(out), key=lambda p: (len(p), p.edges, p.vertices)))
     efree_only = kind == OMEGA
     closers = _closers(g, efree_only)

@@ -12,7 +12,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from graphck import Graph, GaussianRational, omega_supported
+from graphck import (
+    GaussianRational,
+    Graph,
+    Phase,
+    canonical_family,
+    ck_defect,
+    entrance_free_classes,
+    omega_supported,
+    path_isometry,
+    vertex_projection,
+)
 
 
 def g1_loop():
@@ -252,3 +262,20 @@ def random_element(rng: random.Random, g: Graph, pool_by_source, max_terms: int 
         c = random_coeff(rng)
         terms[key] = terms[key] + c if key in terms else c
     return AlgebraElement(terms)
+
+
+def kernel_elements(g: Graph, rep) -> list:
+    """Elements acting as zero in a boundary-type representation of g, so
+    adding a multiple of one leaves the operator unchanged: the CK defects
+    and, per entrance-free class, the pin kappa(C) p_{r(mu)} - s_mu, with
+    kappa = 1 off the twisted kind.  The left-regular representation is
+    faithful, so there the same perturbations give near-miss unequal pairs."""
+    fam = canonical_family(g)
+    kernel = [ck_defect(fam, v) for v in g.vertices if g.in_edges(v)]
+    for cls in entrance_free_classes(g):
+        mu = cls.representative
+        kc = Phase(0)
+        for e in mu.edges:
+            kc = kc * rep.kappa.get(e, Phase(0))
+        kernel.append(vertex_projection(g, mu.range).scaled(kc) - path_isometry(g, mu))
+    return kernel

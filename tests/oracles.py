@@ -2,14 +2,17 @@
 
 Everything here is deliberately written from the raw graph accessors only
 (in_edges / source_of), with its own searches, so that agreement with the
-library is a genuine two-route check rather than a tautology.
+library is a genuine two-route check rather than a tautology.  The one
+exception is ``test_set_equal_oracle``, the operator-equality scan over the
+canonical test set that the closed-form Gaussian route replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from graphck import Graph
+from graphck import Graph, apply, basis_elements
+from graphck.reps import combos_equal, equality_depth
 
 
 def _reaches(g: Graph, v: str) -> set[str]:
@@ -134,3 +137,14 @@ def tail_triples(tails) -> list[tuple[frozenset[str], str, tuple[str, ...] | Non
         (t.vertices, t.kind, t.cycle_class.representative.edges if t.cycle_class else None)
         for t in tails
     ]
+
+
+def test_set_equal_oracle(rep, a, b) -> bool:
+    """Operator equality by applying both elements to every vector of the
+    canonical test set of depth L + |vertices| + longest cycle.  Exponential
+    in that depth."""
+    xs = basis_elements(rep, equality_depth(rep, a, b))
+    return all(combos_equal(apply(rep, a, x), apply(rep, b, x)) for x in xs)
+
+
+test_set_equal_oracle.__test__ = False  # an oracle, not a pytest test

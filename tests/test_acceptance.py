@@ -7,14 +7,18 @@ arithmetic); the stated time budgets are asserted.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from graphck import (
     BOUNDARY,
     CK,
+    LEFT_REGULAR,
     NORMALIZED,
+    OMEGA,
     REDUCED,
     TCK,
+    TWISTED,
     Phase,
     boundary,
     boundary_set,
@@ -46,8 +50,10 @@ from graphck import (
     zero,
 )
 from graphck import apply as rep_apply
-from corpus import CORPUS, g1_loop, random_element, random_graphs
-from oracles import cofinal_oracle
+from corpus import CORPUS, g1_loop, kernel_elements, random_element, random_graphs
+from oracles import cofinal_oracle, test_set_equal_oracle
+
+PAIRS_PER_GRAPH = 1000
 
 
 def _finish(num: int, label: str, started: float, budget: float) -> None:
@@ -232,42 +238,41 @@ def test_criterion_8_simplicity_dichotomy():
 
 
 def test_criterion_9_cross_oracle_equality():
-    from graphck import canonical_family, ck_defect
-
     started = time.perf_counter()
     rng = random.Random(909)
-    agreements = {True: 0, False: 0}
+    agreements = Counter()
     for name, g in CORPUS:
         pools = {v: [] for v in g.vertices}
         for p in enumerate_paths(g, 2):
             pools[p.source].append(p)
-        brep = boundary(g)
-        # elements of the boundary-representation kernel: adding one leaves
-        # the operator unchanged, giving structurally distinct equal pairs
-        fam = canonical_family(g)
-        kernel = [
-            ck_defect(fam, v) for v in g.vertices if g.in_edges(v)
-        ]
-        for cls in entrance_free_classes(g):
-            mu = cls.representative
-            kernel.append(
-                path_isometry(g, mu) - vertex_projection(g, mu.range)
-            )
-        for i in range(1000):
+        quarter = {
+            x: Phase(Fraction(rng.randint(0, 3), 4))
+            for x in canonical_cutting_set(g)
+        }
+        reps = [boundary(g), left_regular(g), omega(g), twisted_boundary(g, quarter)]
+        kernels = [kernel_elements(g, rep) for rep in reps]
+        for i in range(PAIRS_PER_GRAPH):
             a = random_element(rng, g, pools)
-            if kernel and i % 4 == 0:
-                b = a + rng.choice(kernel) * random_element(rng, g, pools)
-            else:
-                b = random_element(rng, g, pools)
-            via_basis = operator_equal(brep, a, b)
-            via_walks = deep_walk_equal(brep, a, b)
-            assert via_basis == via_walks, name
-            agreements[via_basis] += 1
-    assert agreements[True] > 0 and agreements[False] > 0
+            shared = random_element(rng, g, pools)
+            r = random_element(rng, g, pools)
+            for rep, kernel in zip(reps, kernels):
+                # a quarter of the pairs differ by an element of the kernel,
+                # giving structurally distinct equal pairs
+                b = a + rng.choice(kernel) * r if kernel and i % 4 == 0 else shared
+                symbolic = operator_equal(rep, a, b)
+                scanned = test_set_equal_oracle(rep, a, b)
+                walked = deep_walk_equal(rep, a, b)
+                assert symbolic == scanned == walked, (name, rep.kind, i)
+                agreements[rep.kind, symbolic] += 1
+    kinds = (BOUNDARY, LEFT_REGULAR, OMEGA, TWISTED)
+    for kind in kinds:
+        assert agreements[kind, True] and agreements[kind, False], kind
+    counts = ", ".join(
+        f"{kind} {agreements[kind, True]}/{agreements[kind, False]}" for kind in kinds
+    )
     _finish(
         9,
-        f"canonical test set vs deep-walk oracle "
-        f"({agreements[True]} equal / {agreements[False]} unequal pairs)",
+        f"closed form vs test-set scan vs deep walks (equal/unequal: {counts})",
         started,
         120.0,
     )
