@@ -56,10 +56,11 @@ from .cycles import (
 )
 from .exact import (
     COMPLEX,
-    GAUSSIAN,
-    POLAR,
+    EXACT,
+    Cyclotomic,
     ExactnessError,
     GaussianRational,
+    LevelError,
     Phase,
     PolarCoeff,
 )
@@ -91,6 +92,7 @@ from .reps import (
     RelationFailure,
     RelationReport,
     Representation,
+    WorkBudgetError,
     apply,
     basis_elements,
     boundary,

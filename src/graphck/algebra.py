@@ -8,21 +8,20 @@ Toeplitz relations:
                              s_a s_{d b'}^*   if b = c b',
                              0                 otherwise.
 
-Coefficients live in one of the exact modes (or machine complex); mixing
-modes raises instead of silently converting.
+Coefficients are exact cyclotomic values or, in the complex mode, machine
+complex numbers; an element with a complex operand is complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 from . import exact
 from .boundary import BoundaryPath
 from .cycles import entrance_free_classes
-from .exact import GAUSSIAN, Phase
+from .exact import COMPLEX, EXACT
 from .graph import Graph, GraphError, Path, enumerate_paths, path_key
 
 
@@ -36,7 +35,7 @@ class AlgebraElement:
 
     __slots__ = ("terms", "mode")
 
-    def __init__(self, terms: Mapping[tuple[Path, Path], object], mode: str = GAUSSIAN):
+    def __init__(self, terms: Mapping[tuple[Path, Path], object], mode: str = EXACT):
         clean: dict[tuple[Path, Path], object] = {}
         for (a, b), c in terms.items():
             if a.source != b.source:
@@ -58,15 +57,8 @@ class AlgebraElement:
     def max_key_length(self) -> int:
         return max((max(len(a), len(b)) for a, b in self.terms), default=0)
 
-    def _joined_mode(self, other: "AlgebraElement") -> str:
-        if self.is_zero:
-            return other.mode
-        if other.is_zero:
-            return self.mode
-        return exact.join_modes(self.mode, other.mode)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        mode = self._joined_mode(other)
+        mode = self.mode if self.mode == other.mode else COMPLEX
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = exact.add(out[key], c) if key in out else c
@@ -76,13 +68,12 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        minus_one = exact.coerce(-1, self.mode)
-        return self.map_coefficients(lambda c: exact.mul(minus_one, c))
+        return self.map_coefficients(lambda c: -c)
 
     def __mul__(self, other) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return self.scaled(other)
-        mode = self._joined_mode(other)
+        mode = self.mode if self.mode == other.mode else COMPLEX
         out: dict[tuple[Path, Path], object] = {}
         for (a, b), c1 in self.terms.items():
             for (cp, d), c2 in other.terms.items():
@@ -103,14 +94,12 @@ class AlgebraElement:
         return self.scaled(other)
 
     def scaled(self, scalar) -> "AlgebraElement":
-        if isinstance(scalar, Phase):
-            return self.map_coefficients(lambda c: exact.times_phase(c, scalar))
         coeff = exact.coerce(scalar, self.mode)
         return self.map_coefficients(lambda c: exact.mul(coeff, c))
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(
-            {(b, a): exact.conjugate(c) for (a, b), c in self.terms.items()},
+            {(b, a): c.conjugate() for (a, b), c in self.terms.items()},
             self.mode,
         )
 
@@ -129,12 +118,14 @@ class AlgebraElement:
     def __hash__(self):
         raise TypeError("AlgebraElement is not hashable")
 
-    def render(self) -> str:
+    def render(self, polar: bool = False) -> str:
+        """The element in the expression syntax; ``polar`` prints every
+        coefficient in polar style (see ``exact``)."""
         if self.is_zero:
             return "0"
         parts: list[str] = []
         for (a, b), c in self.terms_sorted():
-            neg, cs = _coeff_str(c)
+            neg, cs = _coeff_str(c, polar)
             body = _monomial_str(a, b)
             piece = body if cs is None else f"{cs} * {body}"
             if not parts:
@@ -160,30 +151,30 @@ def _monomial_str(a: Path, b: Path) -> str:
     return f"s[{a.render()}] * s*[{b.render()}]"
 
 
-def _coeff_str(c):
-    """(is_negative, printable magnitude or None when it is exactly one)."""
-    if isinstance(c, exact.GaussianRational):
-        neg = c.re < 0 or (c.re == 0 and c.im < 0)
-        mag = -c if neg else c
-        return neg, None if mag == exact.GaussianRational(Fraction(1)) else str(mag)
-    if isinstance(c, exact.PolarCoeff):
-        neg = c.mag < 0
-        mag = -c if neg else c
-        return neg, None if mag == exact.PolarCoeff(Fraction(1)) else str(mag)
-    return False, f"({c!r})"
+def _coeff_str(c, polar: bool):
+    """(is_negative, printable magnitude or None when it is exactly one); a
+    value is negative when its first printed part is."""
+    if isinstance(c, complex):
+        return False, f"({c!r})"
+    text = c.render(polar)
+    neg = text.startswith(("-", "(-"))
+    if neg:
+        c = -c
+        text = c.render(polar)
+    return neg, None if c == exact.ONE else text
 
 
-def zero(mode: str = GAUSSIAN) -> AlgebraElement:
+def zero(mode: str = EXACT) -> AlgebraElement:
     return AlgebraElement({}, mode)
 
 
-def vertex_projection(g: Graph, v: str, mode: str = GAUSSIAN) -> AlgebraElement:
+def vertex_projection(g: Graph, v: str, mode: str = EXACT) -> AlgebraElement:
     """p_v = s_v s_v^* keyed by the empty path at v."""
     empty = g.empty_path(v)
-    return AlgebraElement({(empty, empty): exact.one(mode)}, mode)
+    return AlgebraElement({(empty, empty): exact.coerce(1, mode)}, mode)
 
 
-def path_isometry(g: Graph, path, mode: str = GAUSSIAN) -> AlgebraElement:
+def path_isometry(g: Graph, path, mode: str = EXACT) -> AlgebraElement:
     """s_alpha for a path (an edge id, an id sequence, or a Path)."""
     if isinstance(path, str):
         path = g.edge_path(path)
@@ -192,11 +183,11 @@ def path_isometry(g: Graph, path, mode: str = GAUSSIAN) -> AlgebraElement:
     if path.is_empty:
         return vertex_projection(g, path.range, mode)
     return AlgebraElement(
-        {(path, Path((), (path.source,))): exact.one(mode)}, mode
+        {(path, Path((), (path.source,))): exact.coerce(1, mode)}, mode
     )
 
 
-def monomial(g: Graph, alpha: Path, beta: Path, coeff=1, mode: str = GAUSSIAN) -> AlgebraElement:
+def monomial(g: Graph, alpha: Path, beta: Path, coeff=1, mode: str = EXACT) -> AlgebraElement:
     if alpha.source != beta.source:
         raise GraphError(f"sources differ: {alpha} vs {beta}")
     return AlgebraElement({(alpha, beta): exact.coerce(coeff, mode)}, mode)
@@ -220,7 +211,7 @@ class GeneratorFamily:
         return acc
 
 
-def canonical_family(g: Graph, mode: str = GAUSSIAN) -> GeneratorFamily:
+def canonical_family(g: Graph, mode: str = EXACT) -> GeneratorFamily:
     return GeneratorFamily(
         index=g,
         p={v: vertex_projection(g, v, mode) for v in g.vertices},

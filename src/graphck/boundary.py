@@ -69,10 +69,6 @@ class BoundaryPath:
                 )
 
     @property
-    def is_finite(self) -> bool:
-        return self.period is None
-
-    @property
     def range(self) -> str:
         return self.prefix.range
 
@@ -226,7 +222,17 @@ def noncofinal_witness(g: Graph) -> tuple[str, BoundaryPath] | None:
                 return v, BoundaryPath(g.empty_path(w))
         for comp in cyclic_components(g):
             if not (comp & rm[v]):
-                for cyc in simple_cycles(g):
-                    if set(cyc.vertices[1:]) <= comp:
-                        return v, BoundaryPath(g.empty_path(cyc.range), cyc)
+                return v, _periodic_point(g, comp)
     return None
+
+
+def _periodic_point(g: Graph, comp: frozenset[str]) -> BoundaryPath:
+    """The boundary path around a cycle of a cyclic component: chase in-edges
+    whose source stays in the component until a vertex repeats."""
+    seen, edges, u = [], [], min(comp)
+    while u not in seen:
+        seen.append(u)
+        edges.append(next(e for e in g.in_edges(u) if g.source_of(e) in comp))
+        u = g.source_of(edges[-1])
+    cyc = g.path(edges[seen.index(u):])
+    return BoundaryPath(g.empty_path(cyc.range), cyc)

@@ -1,7 +1,7 @@
 """Batch command-line front end with reproducible JSON reports.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 input error (unparseable graph, bad flags, guard exceeded).
+2 input error (unparseable graph, bad flags, guard or work budget exceeded).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .cycles import (
     entrance_free_classes,
     simple_cycles,
 )
-from .exact import ExactnessError, Phase, PolarCoeff
+from .exact import ExactnessError, Phase, from_phase
 from .expr import ExprError, parse_element
 from .graph import GraphError, is_cofinal, parse_graph, sources
 from .reps import (
@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
             entry = {"class": cls.representative.render()}
             if isinstance(value, Phase):
                 entry["turn"] = str(value.turn)
-                entry["value"] = str(PolarCoeff.from_phase(value))
+                entry["value"] = from_phase(value).render(polar=True)
             else:
                 entry["value"] = repr(value)
             entries.append(entry)
@@ -225,10 +225,11 @@ def _cmd_verify(args) -> int:
 def _cmd_expect(args) -> int:
     g = _load_graph(args.graph)
     element = parse_element(g, args.element)
+    polar = "@" in args.element  # the print style follows the input's
     result = {
-        "element": element.render(),
-        "wNormalForm": element_w_normal_form(g, element).render(),
-        "expectation": diag_expectation(g, element).render(),
+        "element": element.render(polar),
+        "wNormalForm": element_w_normal_form(g, element).render(polar),
+        "expectation": diag_expectation(g, element).render(polar),
     }
     _emit(_report("expect", g, result), args.pretty)
     return EXIT_OK

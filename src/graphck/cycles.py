@@ -60,13 +60,6 @@ class CycleClass:
     vertex_set: frozenset[str]
     edge_set: frozenset[str]
 
-    def rotation_at(self, v: str) -> Path:
-        """The rotation whose source (== range) is v."""
-        for rot in self.members:
-            if rot.source == v:
-                return rot
-        raise GraphError(f"vertex {v!r} is not on cycle {self.representative}")
-
 
 def cycle_class(cycle: Path) -> CycleClass:
     check_cycle(cycle)

@@ -1,16 +1,22 @@
-"""Exact scalar arithmetic: rational phases, Gaussian rationals, polar coefficients.
+"""Exact scalar arithmetic: rational phases and the cyclotomic fields Q(zeta_N).
 
-Three coefficient modes coexist and never mix silently:
+Two coefficient modes:
 
-* ``gaussian`` -- a + b*i with rational a, b; closed under +, *, conjugation
-  and multiplication by quarter-turn phases.
-* ``polar``    -- m * exp(2*pi*i*t) with rational m, t; closed under *,
-  conjugation and arbitrary rational phases, but sums only combine terms
-  pointing in the same (or opposite) direction.
-* ``complex``  -- machine complex numbers, compared against ``TOL``.
+* ``exact``   -- a :class:`Cyclotomic` value, an element of Q(zeta_N) with
+  zeta_N = exp(2*pi*i/N), stored as integer numerators over one common
+  denominator in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) modulo the
+  cyclotomic polynomial Phi_N.  Two values of levels N and N' meet in
+  Q(zeta_lcm(N, N')).  Rationals live at level 1, Gaussian rationals at level
+  4 and the phase of turn k/N at level N, so sums, products, conjugates and
+  rational phases all stay exact.
+* ``complex`` -- machine complex numbers, compared within ``TOL``.
 
-Anything that would leave the exactly-representable set of the current mode
-raises :class:`ExactnessError` instead of silently rounding.
+Gaussian (``(1-2/3i)``) and polar (``mag@turn``, the turn in [0, 1/2), a
+half turn folded into the sign of mag) are two ways of printing an exact
+value.  A value that is no rational multiple of a root of unity prints as a
+parenthesised sum of polar terms over the power basis of its least field.
+An inexact value entering the exact mode raises :class:`ExactnessError`;
+a value that would need a level above ``MAX_LEVEL`` raises :class:`LevelError`.
 """
 
 from __future__ import annotations
@@ -19,19 +25,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 TOL = 1e-9
 
-GAUSSIAN = "gaussian"
-POLAR = "polar"
+EXACT = "exact"
 COMPLEX = "complex"
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 
 class ExactnessError(ArithmeticError):
-    """An operation left the exactly-representable set of the current mode."""
+    """An inexact value was about to enter the exact mode."""
 
 
 def _fraction(x) -> Fraction:
@@ -72,247 +78,286 @@ class Phase:
         return str(self.turn)
 
 
-ONE_PHASE = Phase()
+MAX_LEVEL = 1000
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex rational re + im*i."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _fraction(self.re))
-        object.__setattr__(self, "im", _fraction(self.im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def modulus_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)}i"
-        imag = ("-" if self.im < 0 else "") + imag
-        if self.re == 0:
-            return imag
-        sign = "-" if self.im < 0 else "+"
-        return f"({self.re}{sign}{imag.lstrip('-')})"
+class LevelError(ValueError):
+    """A value would need a cyclotomic field of level above ``MAX_LEVEL``."""
 
 
-@dataclass(frozen=True)
-class PolarCoeff:
-    """Exact mag * exp(2*pi*i*turn); canonical form keeps turn in [0, 1/2).
+@lru_cache(maxsize=None)
+def _cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_n, lowest degree first: x^n - 1 divided by Phi_d for each d < n dividing n.
 
-    Half-turn rotations fold into the sign of ``mag``, so negation and
-    cancellation of opposite-phase terms stay exact.
+    Every computation at level n starts here, so this is where a level above
+    ``MAX_LEVEL`` is refused: the work per operation grows as phi(n)^2.
+    """
+    if n > MAX_LEVEL:
+        raise LevelError(f"exact arithmetic would need the cyclotomic field of level {n}, "
+                         f"above the limit of {MAX_LEVEL}; use turns with smaller denominators")
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            div = _cyclotomic_poly(d)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for i in reversed(range(len(quot))):
+                c = quot[i] = poly[i + len(div) - 1]
+                for j, p in enumerate(div):
+                    poly[i + j] -= c * p
+            poly = quot
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _modulus(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero (degree, coefficient) pairs of Phi_n below its top."""
+    phi = _cyclotomic_poly(n)
+    return len(phi) - 1, tuple((j, p) for j, p in enumerate(phi[:-1]) if p)
+
+
+def _reduce(n: int, coeffs: list[int]) -> tuple[int, ...]:
+    """sum coeffs[e] * zeta_n^e in the power basis of level n, consuming the
+    list: the exponents are folded mod n, then the polynomial is divided by Phi_n."""
+    deg, low = _modulus(n)
+    for e in range(len(coeffs) - 1, n - 1, -1):  # zeta_n^n = 1
+        coeffs[e - n] += coeffs.pop()
+    coeffs += [0] * (deg - len(coeffs))
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs.pop()
+        if c:
+            for j, p in low:
+                coeffs[i - deg + j] -= c * p
+    return tuple(coeffs)
+
+
+def _powers(n: int):
+    """zeta_n^k for k = 0, 1, 2, ... in the power basis modulo Phi_n, one at a time."""
+    phi = _cyclotomic_poly(n)
+    vec = [1] + [0] * (len(phi) - 2)
+    while True:
+        yield vec
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:  # x^deg = -(Phi_n - x^deg)
+            vec = [v - top * p for v, p in zip(vec, phi)]
+
+
+def _lift(v: "Cyclotomic", n: int) -> tuple[int, ...]:
+    """The numerators of ``v`` at a multiple n of its level."""
+    if v.level == n:
+        return v.num
+    step = n // v.level
+    coeffs = [0] * ((len(v.num) - 1) * step + 1)
+    coeffs[::step] = v.num
+    return _reduce(n, coeffs)
+
+
+class Cyclotomic:
+    """The element sum(num[k] * zeta_level^k) / den of Q(zeta_level).
+
+    ``num`` has phi(level) entries; ``den`` > 0 shares no factor with all of
+    them, so two values of one level are equal exactly when num and den are.
     """
 
-    mag: Fraction = Fraction(0)
-    turn: Fraction = Fraction(0)
+    __slots__ = ("level", "num", "den")
 
-    def __post_init__(self):
-        mag = _fraction(self.mag)
-        turn = _fraction(self.turn) % 1
-        if mag == 0:
-            turn = Fraction(0)
-        elif turn >= HALF:
-            turn -= HALF
-            mag = -mag
-        object.__setattr__(self, "mag", mag)
-        object.__setattr__(self, "turn", turn)
+    def __init__(self, level: int, num: tuple[int, ...], den: int = 1):
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+        self.level, self.num, self.den = level, num, den
 
-    @classmethod
-    def from_phase(cls, ph: Phase) -> "PolarCoeff":
-        return cls(Fraction(1), ph.turn)
+    def _align(self, other: "Cyclotomic"):
+        """(level, self's numerators, other's numerators) at the lcm of the levels."""
+        n = math.lcm(self.level, other.level)
+        return n, _lift(self, n), _lift(other, n)
 
-    def __add__(self, other: "PolarCoeff") -> "PolarCoeff":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.turn != other.turn:
-            raise ExactnessError(
-                f"cannot add polar coefficients with distinct directions "
-                f"{self.turn} and {other.turn}"
-            )
-        return PolarCoeff(self.mag + other.mag, self.turn)
+    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        n, x, y = self._align(other)
+        d, e = self.den, other.den
+        return Cyclotomic(n, tuple(p * e + q * d for p, q in zip(x, y)), d * e)
 
-    def __sub__(self, other: "PolarCoeff") -> "PolarCoeff":
+    def __neg__(self) -> "Cyclotomic":
+        return Cyclotomic(self.level, tuple(-c for c in self.num), self.den)
+
+    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
 
-    def __neg__(self) -> "PolarCoeff":
-        return PolarCoeff(-self.mag, self.turn)
+    def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        n, x, y = self._align(other)
+        raw = [0] * (2 * len(x) - 1)
+        for i, p in enumerate(x):
+            if p:
+                for j, q in enumerate(y):
+                    raw[i + j] += p * q
+        return Cyclotomic(n, _reduce(n, raw), self.den * other.den)
 
-    def __mul__(self, other: "PolarCoeff") -> "PolarCoeff":
-        return PolarCoeff(self.mag * other.mag, self.turn + other.turn)
+    def conjugate(self) -> "Cyclotomic":
+        n, num = self.level, self.num  # zeta^-k = zeta^(n-k)
+        return Cyclotomic(n, _reduce(n, [num[0]] + [0] * (n - len(num)) + list(num[:0:-1])), self.den)
 
-    def conjugate(self) -> "PolarCoeff":
-        return PolarCoeff(self.mag, -self.turn)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        _, x, y = self._align(other)
+        return all(p * other.den == q * self.den for p, q in zip(x, y))
+
+    __hash__ = None
 
     @property
     def is_zero(self) -> bool:
-        return self.mag == 0
+        return not any(self.num)
 
     @property
     def value(self) -> complex:
-        return self.mag * cmath.rect(1.0, 2.0 * math.pi * float(self.turn))
+        turn = 2.0 * math.pi / self.level
+        return complex(sum(c * cmath.rect(1.0, k * turn) for k, c in enumerate(self.num))) / self.den
 
-    def __str__(self) -> str:
-        if self.turn == 0:
-            return str(self.mag)
-        return f"{self.mag}@{self.turn}"
+    def _restrict(self, m: int) -> "Cyclotomic | None":
+        """This value at the level m dividing its own, or None when it does
+        not lie in Q(zeta_m): solve lift(y) == self by elimination."""
+        step, size = self.level // m, len(_cyclotomic_poly(m)) - 1
+        lifts = list(islice(_powers(self.level), 0, step * size, step))  # zeta_m^j for j < size
+        rows = [[Fraction(p[i]) for p in lifts] + [Fraction(c, self.den)] for i, c in enumerate(self.num)]
+        for j in range(size):  # the lift is injective, so every column has a pivot
+            p = next(i for i in range(j, len(rows)) if rows[i][j])
+            rows[j], rows[p] = rows[p], rows[j]
+            rows[j] = [v / rows[j][j] for v in rows[j]]
+            for i, row in enumerate(rows):
+                if i != j and row[j]:
+                    rows[i] = [a - row[j] * b for a, b in zip(row, rows[j])]
+        if any(row[-1] for row in rows[size:]):
+            return None
+        den = math.lcm(*(row[-1].denominator for row in rows[:size]))
+        return Cyclotomic(m, tuple(int(row[-1] * den) for row in rows[:size]), den)
+
+    def minimal(self) -> "Cyclotomic":
+        """The same value at the least level whose field contains it."""
+        n, num = self.level, self.num
+        if not any(num[1:]):  # the power basis starts with 1, so this is rational
+            return Cyclotomic(1, num[:1], self.den)
+        for m in range(3, n):
+            if n % m == 0 and m % 4 != 2:  # Q(zeta_2m) = Q(zeta_m) for odd m
+                low = self._restrict(m)
+                if low is not None:
+                    return low
+        return self
+
+    def polar_terms(self) -> list[tuple[Fraction, Fraction]]:
+        """(mag, turn) pairs summing to this value: one pair when it is
+        mag * zeta for a root of unity zeta (all are +-zeta_level^k), else its
+        coordinates in the power basis of its level, canonical on ``minimal()``."""
+        n, num = self.level, self.num
+        hits = [k for k, c in enumerate(num) if c]
+        if len(hits) > 1:
+            for k, p in enumerate(islice(_powers(n), len(num), n), len(num)):
+                j = next(i for i, v in enumerate(p) if v)
+                if all(c * p[j] == num[j] * v for c, v in zip(num, p)):
+                    return [_fold(Fraction(num[j], self.den * p[j]), Fraction(k, n))]
+        return sorted((_fold(Fraction(num[k], self.den), Fraction(k, n)) for k in hits), key=lambda term: term[1])
+
+    def render(self, polar: bool = False) -> str:
+        """Gaussian style a+bi for a Gaussian rational unless ``polar``; polar
+        style mag@turn, or a parenthesised sum of polar terms, otherwise."""
+        x = self.minimal()
+        if not polar and x.level == 4:  # in Q(i) but not in Q; a rational prints alike in both styles
+            re, im = Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
+            imag = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{abs(im)}i")
+            return imag if re == 0 else f"({re}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
+        texts = [str(mag) if turn == 0 else f"{mag}@{turn}" for mag, turn in x.polar_terms()]
+        if len(texts) < 2:
+            return texts[0] if texts else "0"
+        return "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+
+    __str__ = render
 
 
-def mode_of(c) -> str:
-    if isinstance(c, GaussianRational):
-        return GAUSSIAN
-    if isinstance(c, PolarCoeff):
-        return POLAR
-    if isinstance(c, complex):
-        return COMPLEX
-    raise TypeError(f"not a coefficient: {c!r}")
+def _fold(mag: Fraction, turn: Fraction) -> tuple[Fraction, Fraction]:
+    """Canonical polar pair: turn in [0, 1/2), a half turn folded into the sign."""
+    turn %= 1
+    return (-mag, turn - HALF) if turn >= HALF else (mag, turn)
 
 
-def join_modes(a: str, b: str) -> str:
-    if a != b:
-        raise ExactnessError(f"mixed coefficient modes: {a} and {b}")
-    return a
+@lru_cache(maxsize=None)
+def _root(n: int, k: int) -> Cyclotomic:
+    """zeta_n^k, at level n/2 when n = 2 mod 4 (zeta_n^k = -zeta_{n/2}^((k + n/2)/2) for odd k)."""
+    if n % 4 == 2:
+        m = n // 2
+        return _root(m, k // 2) if k % 2 == 0 else -_root(m, (k + m) // 2 % m)
+    return Cyclotomic(n, _reduce(n, [0] * k + [1]))
 
 
-_QUARTER_TURNS = {
-    Fraction(0): lambda g: g,
-    Fraction(1, 4): lambda g: GaussianRational(-g.im, g.re),
-    Fraction(1, 2): lambda g: -g,
-    Fraction(3, 4): lambda g: GaussianRational(g.im, -g.re),
-}
+def rational(q) -> Cyclotomic:
+    q = _fraction(q)
+    return Cyclotomic(1, (q.numerator,), q.denominator)
 
 
-def _gaussian_to_polar(g: GaussianRational) -> PolarCoeff:
-    if g.im == 0:
-        return PolarCoeff(g.re, Fraction(0))
-    if g.re == 0:
-        return PolarCoeff(g.im, QUARTER)
-    raise ExactnessError(f"{g} has no exact polar form")
+def GaussianRational(re=0, im=0) -> Cyclotomic:
+    """The exact value re + im*i."""
+    re, im = _fraction(re), _fraction(im)
+    if not im:
+        return rational(re)
+    a, b = re.denominator, im.denominator
+    return Cyclotomic(4, (re.numerator * b, im.numerator * a), a * b)
 
 
-def _polar_to_gaussian(p: PolarCoeff) -> GaussianRational:
-    if p.turn == 0:
-        return GaussianRational(p.mag)
-    if p.turn == QUARTER:
-        return GaussianRational(Fraction(0), p.mag)
-    raise ExactnessError(f"{p} has no exact Gaussian-rational form")
+def from_phase(ph: Phase) -> Cyclotomic:
+    return _root(ph.turn.denominator, ph.turn.numerator)
+
+
+def PolarCoeff(mag=0, turn=0) -> Cyclotomic:
+    """The exact value mag * exp(2*pi*i*turn)."""
+    return rational(mag) * from_phase(Phase(turn))
+
+
+ONE = rational(1)
+
+
+def as_complex(c) -> complex:
+    if isinstance(c, (Cyclotomic, Phase)):
+        return c.value
+    return complex(c)
 
 
 def coerce(value, mode: str):
     """Convert ``value`` into a coefficient of ``mode``; exact or ExactnessError."""
+    if mode == COMPLEX:
+        return as_complex(value)
+    if mode != EXACT:
+        raise ValueError(f"unknown coefficient mode {mode!r}")
+    if isinstance(value, Cyclotomic):
+        return value
     if isinstance(value, Phase):
-        if mode == GAUSSIAN:
-            return _polar_to_gaussian(PolarCoeff.from_phase(value))
-        if mode == POLAR:
-            return PolarCoeff.from_phase(value)
-        return value.value
+        return from_phase(value)
     if isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-        if mode == GAUSSIAN:
-            return GaussianRational(value)
-        if mode == POLAR:
-            return PolarCoeff(value)
-        return complex(value)
-    if isinstance(value, GaussianRational):
-        if mode == GAUSSIAN:
-            return value
-        if mode == POLAR:
-            return _gaussian_to_polar(value)
-        return value.value
-    if isinstance(value, PolarCoeff):
-        if mode == POLAR:
-            return value
-        if mode == GAUSSIAN:
-            return _polar_to_gaussian(value)
-        return value.value
+        return rational(value)
     if isinstance(value, (complex, float)):
-        if mode == COMPLEX:
-            return complex(value)
-        raise ExactnessError("inexact value cannot enter an exact mode")
+        raise ExactnessError("inexact value cannot enter the exact mode")
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
-
-
-def one(mode: str):
-    return coerce(1, mode)
 
 
 def add(a, b):
     if isinstance(a, complex) or isinstance(b, complex):
-        return complex(a if isinstance(a, complex) else a.value) + complex(
-            b if isinstance(b, complex) else b.value
-        )
-    join_modes(mode_of(a), mode_of(b))
+        return as_complex(a) + as_complex(b)
     return a + b
 
 
 def mul(a, b):
     if isinstance(a, complex) or isinstance(b, complex):
         return as_complex(a) * as_complex(b)
-    join_modes(mode_of(a), mode_of(b))
     return a * b
 
 
-def conjugate(c):
-    if isinstance(c, complex):
-        return c.conjugate()
-    return c.conjugate()
-
-
 def times_phase(c, ph):
-    """Multiply a coefficient by a unit scalar (Phase, or complex in complex mode)."""
+    """Multiply a coefficient by a unit scalar (a Phase, or a complex unit)."""
     if isinstance(ph, Phase):
-        if ph.turn == 0:
-            return c
-        if isinstance(c, GaussianRational):
-            rot = _QUARTER_TURNS.get(ph.turn)
-            if rot is None:
-                if c.is_zero:
-                    return c
-                raise ExactnessError(
-                    f"phase {ph} is not a quarter turn; use polar or complex mode"
-                )
-            return rot(c)
-        if isinstance(c, PolarCoeff):
-            return PolarCoeff(c.mag, c.turn + ph.turn)
-        if isinstance(c, complex):
-            return c * ph.value
-        raise TypeError(f"not a coefficient: {c!r}")
+        return c if ph.turn == 0 else mul(c, from_phase(ph))
     if isinstance(ph, complex):
-        if isinstance(c, complex):
-            return c * ph
-        raise ExactnessError("inexact phase on an exact coefficient")
+        return as_complex(c) * ph
     raise TypeError(f"not a phase: {ph!r}")
 
 
@@ -322,52 +367,37 @@ def is_zero(c) -> bool:
     return c.is_zero
 
 
-def as_complex(c) -> complex:
-    if isinstance(c, complex):
-        return c
-    return c.value
-
-
 def scalars_equal(a, b) -> bool:
     if isinstance(a, complex) or isinstance(b, complex):
         return abs(as_complex(a) - as_complex(b)) < TOL
-    if type(a) is type(b):
-        return a == b
-    try:
-        return coerce(a, mode_of(b)) == b
-    except ExactnessError:
-        return False
-
-
-def is_one(c) -> bool:
-    return scalars_equal(c, one(mode_of(c)))
+    return a == b
 
 
 def is_unit(c) -> bool:
-    """Whether |c| == 1, exactly in exact modes and within TOL otherwise."""
-    if isinstance(c, GaussianRational):
-        return c.modulus_sq() == 1
-    if isinstance(c, PolarCoeff):
-        return abs(c.mag) == 1
+    """Whether |c| == 1, exactly in the exact mode and within TOL otherwise."""
     if isinstance(c, complex):
         return abs(abs(c) - 1.0) < TOL
-    raise TypeError(f"not a coefficient: {c!r}")
+    return c * c.conjugate() == ONE
 
 
-def as_phase(c):
-    """Return the Phase equal to a unit coefficient, or the coefficient itself
-    when it is a unit with no exact rational direction (complex mode)."""
-    if isinstance(c, PolarCoeff):
-        if c.mag == 1:
-            return Phase(c.turn)
-        if c.mag == -1:
-            return Phase(c.turn + HALF)
-    if isinstance(c, GaussianRational):
-        for turn, rot in _QUARTER_TURNS.items():
-            if rot(GaussianRational(Fraction(1))) == c:
-                return Phase(turn)
-    if isinstance(c, complex) and is_unit(c):
-        return c
-    if is_unit(c):
-        return c
-    raise ExactnessError(f"{c} is not a unit scalar")
+def as_phase(value):
+    """The Phase of a rational turn (or its string), of a Phase, or of an exact
+    root of unity; any other unit (complex, or exact but of infinite order) is
+    returned unchanged."""
+    if isinstance(value, Phase):
+        return value
+    if isinstance(value, (int, Fraction, str)):
+        return Phase(value)
+    if isinstance(value, Cyclotomic):
+        terms = value.polar_terms()
+        if len(terms) == 1 and abs(terms[0][0]) == 1:
+            mag, turn = terms[0]
+            return Phase(turn if mag > 0 else turn + HALF)
+    if is_unit(value):
+        return value
+    raise ExactnessError(f"{value} is not a unit scalar")
+
+
+def render(c, polar: bool = False) -> str:
+    """A coefficient as text: ``Cyclotomic.render`` or the complex number."""
+    return str(c) if isinstance(c, complex) else c.render(polar)

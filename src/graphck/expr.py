@@ -3,9 +3,10 @@
 Elements print as ``c * s[e1 e2] * s*[f] + ...`` with ``p[v]`` sugar for the
 empty-path projection; this module parses that syntax back over a graph.
 Coefficient literals are rationals (``3``, ``1/2``), Gaussian rationals
-(``i``, ``2/3i``, ``(1+1/2i)``) or polar ``mag@turn`` values (``1@1/3``
-meaning exp(2*pi*i/3)).  A ``@`` anywhere selects polar mode for the whole
-expression; otherwise the element is Gaussian-rational.
+(``i``, ``2/3i``), polar ``mag@turn`` values (``1@1/3`` meaning
+exp(2*pi*i/3)) and parenthesised sums of these (``(1+1/2i)``,
+``(-1+2@1/6)``).  Every literal is an exact cyclotomic value, so both styles
+mix freely in one expression.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 
 from . import exact
 from .algebra import AlgebraElement, path_isometry, vertex_projection, zero
-from .exact import GAUSSIAN, POLAR
 from .graph import Graph
 
 
@@ -60,11 +60,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, g: Graph, tokens, mode: str):
+    def __init__(self, g: Graph, tokens):
         self.g = g
         self.tokens = tokens
         self.pos = 0
-        self.mode = mode
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -82,33 +81,34 @@ class _Parser:
             raise ExprError(f"expected {kind!r}, got {tok[0]!r}")
         return tok
 
-    def parse(self) -> AlgebraElement:
-        total = zero(self.mode)
-        sign = 1
+    def take_sign(self) -> int | None:
         tok = self.peek()
-        if tok is not None and tok[0] in ("+", "-"):
-            self.take()
-            sign = -1 if tok[0] == "-" else 1
+        if tok is None or tok[0] not in ("+", "-"):
+            return None
+        self.take()
+        return -1 if tok[0] == "-" else 1
+
+    def parse(self) -> AlgebraElement:
+        total = zero()
+        sign = self.take_sign() or 1
         while True:
             term = self.parse_term()
             total = total + (term if sign > 0 else -term)
-            tok = self.peek()
-            if tok is None:
+            if self.peek() is None:
                 return total
-            if tok[0] not in ("+", "-"):
-                raise ExprError(f"expected '+' or '-', got {tok[0]!r}")
-            self.take()
-            sign = -1 if tok[0] == "-" else 1
+            sign = self.take_sign()
+            if sign is None:
+                raise ExprError(f"expected '+' or '-', got {self.peek()[0]!r}")
 
     def parse_term(self) -> AlgebraElement:
-        coeff = exact.one(self.mode)
+        coeff = exact.ONE
         elem: AlgebraElement | None = None
         while True:
             piece = self.parse_factor()
             if isinstance(piece, AlgebraElement):
                 elem = piece if elem is None else elem * piece
             else:
-                coeff = exact.mul(coeff, piece)
+                coeff = coeff * piece
             tok = self.peek()
             if tok is None or tok[0] != "*":
                 break
@@ -117,66 +117,47 @@ class _Parser:
             raise ExprError(
                 "scalar term without a generator; the algebra has no unit"
             )
-        return elem.map_coefficients(lambda c: exact.mul(coeff, c))
+        return elem.scaled(coeff)
 
     def parse_factor(self):
-        tok = self.take()
-        if tok[0] == "gen":
-            _, head, ids = tok
+        tok = self.peek()
+        if tok is not None and tok[0] == "gen":
+            _, head, ids = self.take()
             if head == "p":
                 if len(ids) != 1:
                     raise ExprError(f"p[...] takes one vertex id, got {ids}")
-                return vertex_projection(self.g, ids[0], self.mode)
+                return vertex_projection(self.g, ids[0])
             if not ids:
                 raise ExprError("s[...] needs at least one edge id")
-            elem = path_isometry(self.g, self.g.path(list(ids)), self.mode)
+            elem = path_isometry(self.g, self.g.path(list(ids)))
             return elem.adjoint() if head == "s*" else elem
-        if tok[0] == "num":
-            value = tok[1]
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "@":
-                self.take()
-                turn = self.expect("num")[1]
-                return exact.coerce(exact.PolarCoeff(value, turn), self.mode)
-            if nxt is not None and nxt[0] == "i":
-                self.take()
-                return exact.coerce(
-                    exact.GaussianRational(Fraction(0), value), self.mode
-                )
-            return exact.coerce(value, self.mode)
+        if tok is not None and tok[0] == "(":
+            self.take()
+            total = self.parse_scalar(self.take_sign() or 1)
+            sign = self.take_sign()
+            while sign is not None:
+                total = total + self.parse_scalar(sign)
+                sign = self.take_sign()
+            self.expect(")")
+            return total
+        return self.parse_scalar(1)
+
+    def parse_scalar(self, sign: int):
+        """``i``, ``num``, ``num i`` or ``num@turn``, times ``sign``."""
+        tok = self.take()
         if tok[0] == "i":
-            return exact.coerce(exact.GaussianRational(Fraction(0), Fraction(1)), self.mode)
-        if tok[0] == "(":
-            return self.parse_paren_scalar()
-        raise ExprError(f"unexpected token {tok[0]!r}")
-
-    def parse_paren_scalar(self):
-        def signed_part():
-            sign = 1
-            tok = self.peek()
-            if tok is not None and tok[0] in ("+", "-"):
-                self.take()
-                sign = -1 if tok[0] == "-" else 1
-            tok = self.peek()
-            if tok is not None and tok[0] == "i":
-                self.take()
-                return Fraction(0), sign * Fraction(1)
-            value = self.expect("num")[1]
-            tok = self.peek()
-            if tok is not None and tok[0] == "i":
-                self.take()
-                return Fraction(0), sign * value
-            return sign * value, Fraction(0)
-
-        re1, im1 = signed_part()
-        tok = self.peek()
-        re2 = im2 = Fraction(0)
-        if tok is not None and tok[0] in ("+", "-"):
-            re2, im2 = signed_part()
-        self.expect(")")
-        return exact.coerce(
-            exact.GaussianRational(re1 + re2, im1 + im2), self.mode
-        )
+            return exact.GaussianRational(0, sign)
+        if tok[0] != "num":
+            raise ExprError(f"unexpected token {tok[0]!r}")
+        value = sign * tok[1]
+        nxt = self.peek()
+        if nxt == ("@",):
+            self.take()
+            return exact.PolarCoeff(value, self.expect("num")[1])
+        if nxt == ("i",):
+            self.take()
+            return exact.GaussianRational(0, value)
+        return exact.rational(value)
 
 
 def parse_element(g: Graph, text: str) -> AlgebraElement:
@@ -185,11 +166,5 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
     if not tokens:
         raise ExprError("empty expression")
     if len(tokens) == 1 and tokens[0] == ("num", Fraction(0)):
-        return zero(GAUSSIAN)
-    mode = POLAR if ("@",) in tokens else GAUSSIAN
-    parser = _Parser(g, tokens, mode)
-    try:
-        element = parser.parse()
-    except exact.ExactnessError as err:
-        raise ExprError(str(err)) from err
-    return element
+        return zero()
+    return _Parser(g, tokens).parse()

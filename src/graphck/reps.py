@@ -7,33 +7,30 @@ s_alpha s_beta^* sends xi_{beta.y} to xi_{alpha.y} and kills everything
 else.  The twisted kind multiplies by a unit phase per cutting-set edge
 traversed in alpha and by the conjugate per edge in beta.
 
-Operator equality on exact Gaussian inputs (representation and both
-elements in Gaussian mode) is decided in closed form.  On the left-regular
-representation the monomials s_alpha s_beta^* are linearly independent
-(the Cohn path algebra basis), so equal operators are formally equal
+Operator equality is decided in closed form on every input.  On the
+left-regular representation the monomials s_alpha s_beta^* are linearly
+independent (the Cohn path algebra basis): equal operators are equal
 elements.  The boundary, omega and twisted boundary representations satisfy
 the Cuntz-Krieger relation at every receiving vertex (a twisted element is
 first rescaled by kappa(alpha) * conj kappa(beta) per term): each beta is
-extended through the in-edges of its source until every beta has the
-longest length L or starts at a source, which makes the cylinders Z(beta)
-disjoint, so the difference vanishes exactly when every column
-sum_alpha c_alpha s_alpha vanishes on the paths y at w = s(beta).  When the
-in-edge chase from w is forced (one in-edge at each step, ending at a source
-or around an entrance-free cycle), w carries the single boundary path y_w,
-and alpha.y_w = alpha'.y_w exactly when alpha and alpha' agree once stripped
-of trailing powers of the entrance-free rotation at w (``w_normal_form``,
-which strips nothing unless w lies on that cycle).  Otherwise some boundary
-path y at w is not purely periodic at w, the outputs alpha.y are distinct,
-and w lies on no entrance-free cycle.  So the operators agree exactly when
-the refined elements agree after ``w_normal_form`` on every alpha.  Omega
-follows the same rule: a vertex on an entrance-free cycle is forced, and
-elsewhere no omega path is purely periodic while ``omega_supported`` keeps
-the omega space at w nonempty.
+extended through the in-edges of its source until every beta has the longest
+length L or starts at a source, which makes the cylinders Z(beta) disjoint,
+so the difference vanishes exactly when every column sum_alpha c_alpha
+s_alpha vanishes on the paths y at w = s(beta).  When the in-edge chase from
+w is forced (one in-edge at each step, ending at a source or around an
+entrance-free cycle), w carries the single boundary path y_w, and alpha.y_w
+= alpha'.y_w exactly when alpha and alpha' agree once stripped of trailing
+powers of the entrance-free rotation at w (``w_normal_form``, which strips
+nothing unless w lies on that cycle).  Otherwise some boundary path y at w
+is not purely periodic at w, the outputs alpha.y are distinct, and w lies on
+no entrance-free cycle.  So the operators agree exactly when the refined
+elements agree after ``w_normal_form`` on every alpha.  Omega follows the
+same rule: a vertex on an entrance-free cycle is forced, and elsewhere no
+omega path is purely periodic while ``omega_supported`` keeps the omega
+space at w nonempty.
 
-Polar and complex inputs are compared on the canonical test set of depth
-L + |vertices| + max cycle length, which realizes every prefix an operator
-with keys of length <= L can inspect; a seeded random deep-walk basis
-provides an independent route for the same decision.
+Test sets serve ``verify_relations`` and ``extract_kappa`` (up to
+``WORK_BUDGET``); ``deep_walk_equal`` decides equality on seeded random walks.
 """
 
 from __future__ import annotations
@@ -66,9 +63,9 @@ from .cycles import (
     rotations,
     simple_cycles,
 )
-from .exact import GAUSSIAN, POLAR, COMPLEX, Phase
+from .exact import COMPLEX, EXACT, Phase, as_phase
 from .graph import Graph, GraphError, Path, enumerate_paths, sources
-from .transform import GeneratorRescaling, as_phase
+from .transform import GeneratorRescaling, twist
 
 LEFT_REGULAR = "left-regular"
 BOUNDARY = "boundary"
@@ -84,10 +81,15 @@ LEVELS = (TCK, CK, REDUCED, NORMALIZED)
 
 DEEP_WALK_SEED = 101
 DEEP_WALK_COUNT = 200
+WORK_BUDGET = 200_000
 
 
 class NotReducedError(GraphError):
     """A cycle isometry failed to act as a scalar on its periodic point."""
+
+
+class WorkBudgetError(GraphError):
+    """A test set would cost more than ``WORK_BUDGET`` to build and scan."""
 
 
 class Representation:
@@ -95,7 +97,7 @@ class Representation:
 
     __slots__ = ("kind", "graph", "kappa", "cutting_set", "mode")
 
-    def __init__(self, kind, graph, kappa=None, cutting_set=(), mode=GAUSSIAN):
+    def __init__(self, kind, graph, kappa=None, cutting_set=(), mode=EXACT):
         self.kind = kind
         self.graph = graph
         self.kappa = dict(kappa) if kappa else {}
@@ -136,20 +138,18 @@ def twisted_boundary(g: Graph, kappa, cutting_set=None) -> Representation:
         raise GraphError("kappa must be defined exactly on the cutting set")
     if not is_cutting_set(g, chosen):
         raise GraphError(f"{chosen} is not a cutting set")
-    inexact = any(isinstance(v, (complex, float)) for v in table.values())
-    if inexact:
-        phases = {}
-        for e, v in table.items():
-            v = complex(v) if isinstance(v, (complex, float)) else as_phase(v).value
-            if abs(abs(v) - 1.0) > exact.TOL:
-                raise GraphError(f"kappa[{e}] is not a unit: {v}")
-            phases[e] = v
-        mode = COMPLEX
-    else:
+    if not any(isinstance(v, (complex, float)) for v in table.values()):
         phases = {e: as_phase(v) for e, v in table.items()}
-        quarter = all(ph.turn.denominator in (1, 2, 4) for ph in phases.values())
-        mode = GAUSSIAN if quarter else POLAR
-    return Representation(TWISTED, g, phases, chosen, mode)
+        if not all(isinstance(ph, Phase) for ph in phases.values()):
+            raise GraphError("exact kappa values must be rational phases, not units of infinite order")
+        return Representation(TWISTED, g, phases, chosen)
+    phases = {}
+    for e, v in table.items():
+        v = complex(v) if isinstance(v, (complex, float)) else as_phase(v).value
+        if abs(abs(v) - 1.0) > exact.TOL:
+            raise GraphError(f"kappa[{e}] is not a unit: {v}")
+        phases[e] = v
+    return Representation(TWISTED, g, phases, chosen, COMPLEX)
 
 
 def basis_kind(rep: Representation) -> str:
@@ -196,16 +196,7 @@ def apply(rep: Representation, a: AlgebraElement, x):
             if not x.starts_with(beta):
                 continue
             z = alpha.concat(x.strip_prefix(beta))
-        w = c
-        if kmap:
-            for e in alpha.edges:
-                ph = kmap.get(e)
-                if ph is not None:
-                    w = exact.times_phase(w, ph)
-            for e in beta.edges:
-                ph = kmap.get(e)
-                if ph is not None:
-                    w = exact.times_phase(w, ph.conjugate())
+        w = twist(c, alpha, beta, kmap) if kmap else c
         out[z] = exact.add(out[z], w) if z in out else w
     return {z: w for z, w in out.items() if not exact.is_zero(w)}
 
@@ -217,32 +208,47 @@ def combos_equal(d1, d2) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _max_cycle_len(g: Graph) -> int:
-    return max((len(c) for c in simple_cycles(g)), default=0)
+def _cycle_lengths(g: Graph) -> tuple[int, ...]:
+    """The length of each simple cycle of ``g``, enumerated once per graph."""
+    return tuple(len(c) for c in simple_cycles(g))
 
 
 def equality_depth(rep: Representation, *elems: AlgebraElement) -> int:
     longest = max((e.max_key_length() for e in elems), default=0)
-    return longest + len(rep.graph.vertices) + _max_cycle_len(rep.graph)
+    return longest + len(rep.graph.vertices) + max(_cycle_lengths(rep.graph), default=0)
+
+
+def check_work(rep: Representation, depth: int) -> None:
+    """Refuse a test set of ``depth`` whose work bound exceeds ``WORK_BUDGET``:
+    the paths of length <= depth (counted over in-edges, not listed), times
+    1 + the number of simple-cycle rotations on the boundary kinds."""
+    g = rep.graph
+    counts, paths = dict.fromkeys(g.vertices, 1), len(g.vertices)  # by source
+    for _ in range(depth):
+        step = dict.fromkeys(g.vertices, 0)
+        for v, n in counts.items():
+            for e in g.in_edges(v):
+                step[g.source_of(e)] += n
+        counts = step
+        paths += sum(counts.values())
+    rots = 0 if rep.kind == LEFT_REGULAR else sum(_cycle_lengths(g))
+    if paths * (1 + rots) > WORK_BUDGET:
+        raise WorkBudgetError(f"a depth-{depth} test set bounds the work at {paths} paths x "
+                              f"(1 + {rots} rotations) = {paths * (1 + rots)}, above the "
+                              f"budget of {WORK_BUDGET}; lower --depth")
 
 
 def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Equality of the induced operators: in closed form on exact Gaussian
-    inputs, on the canonical test set otherwise (see the module docstring)."""
-    if rep.mode == a.mode == b.mode == GAUSSIAN:
-        if rep.kind == LEFT_REGULAR:
-            return a == b
-        g = rep.graph
-        if rep.kind == TWISTED:
-            untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa, ()).rescale_element
-            a, b = untwist(a), untwist(b)
-        length = max((len(beta) for e in (a, b) for _, beta in e.terms), default=0)
-        return _boundary_normal_form(g, a, length) == _boundary_normal_form(g, b, length)
-    depth = equality_depth(rep, a, b)
-    return all(
-        combos_equal(apply(rep, a, x), apply(rep, b, x))
-        for x in basis_elements(rep, depth)
-    )
+    """Equality of the induced operators, in closed form (see the module
+    docstring)."""
+    if rep.kind == LEFT_REGULAR:
+        return a == b
+    g = rep.graph
+    if rep.kind == TWISTED:
+        untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa, ()).rescale_element
+        a, b = untwist(a), untwist(b)
+    length = max((len(beta) for e in (a, b) for _, beta in e.terms), default=0)
+    return _boundary_normal_form(g, a, length) == _boundary_normal_form(g, b, length)
 
 
 def _boundary_normal_form(g: Graph, a: AlgebraElement, length: int) -> AlgebraElement:
@@ -293,10 +299,6 @@ def min_verification_depth(index: Graph, level: str) -> int:
     return depth
 
 
-def _render(x) -> str:
-    return x.render()
-
-
 def _scan_cycle_scalar(rep, fam, mu, basis):
     """Check s_mu acts as one scalar on every basis vector at r(mu).
 
@@ -341,7 +343,10 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
         depth = mind + len(rep.graph.vertices)
     if depth < mind:
         raise ValueError(f"depth {depth} is below the required minimum {mind}")
+    check_work(rep, depth)
     basis = basis_elements(rep, depth)
+    # scalars print in polar style when some phase is no quarter turn
+    polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
 
@@ -351,7 +356,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
                 return x
         return None
 
-    nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else GAUSSIAN)
+    nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else EXACT)
 
     for i, u in enumerate(idx.vertices):
         for v in idx.vertices[i:]:
@@ -360,13 +365,13 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
             w = first_witness(product, target)
             if w is not None:
                 name = f"T1[{u}]" if u == v else f"T1[{u},{v}]"
-                failures.append(RelationFailure(name, _render(w)))
+                failures.append(RelationFailure(name, w.render()))
 
     for e in idx.edges:
         product = fam.s[e].adjoint() * fam.s[e]
         w = first_witness(product, fam.p[idx.source_of(e)])
         if w is not None:
-            failures.append(RelationFailure(f"T2[{e}]", _render(w)))
+            failures.append(RelationFailure(f"T2[{e}]", w.render()))
 
     receiving = [v for v in idx.vertices if idx.in_edges(v)]
     defects = {v: ck_defect(fam, v) for v in receiving}
@@ -376,16 +381,16 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
             out = apply(rep, defects[v], x)
             if not out:
                 continue
-            if len(out) == 1 and x in out and exact.is_one(out[x]):
+            if len(out) == 1 and x in out and exact.scalars_equal(out[x], exact.ONE):
                 continue
-            failures.append(RelationFailure(f"T3[{v}]", _render(x)))
+            failures.append(RelationFailure(f"T3[{v}]", x.render()))
             break
 
     if level in (CK, REDUCED, NORMALIZED):
         for v in receiving:
             w = first_witness(defects[v], nothing)
             if w is not None:
-                failures.append(RelationFailure(f"CK[{v}]", _render(w)))
+                failures.append(RelationFailure(f"CK[{v}]", w.render()))
 
     if level in (REDUCED, NORMALIZED):
         for cls in entrance_free_classes(idx):
@@ -394,7 +399,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
                 witness, scalar = _scan_cycle_scalar(rep, fam, mu, basis)
                 if witness is not None:
                     failures.append(
-                        RelationFailure(f"R[{mu.render()}]", _render(witness))
+                        RelationFailure(f"R[{mu.render()}]", witness.render())
                     )
                     continue
                 if scalar is None:
@@ -405,14 +410,14 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
                 if not exact.is_unit(scalar):
                     failures.append(
                         RelationFailure(
-                            f"R[{mu.render()}]", f"scalar {scalar} is not a unit"
+                            f"R[{mu.render()}]", f"scalar {exact.render(scalar, polar)} is not a unit"
                         )
                     )
                     continue
-                if level == NORMALIZED and not exact.is_one(scalar):
+                if level == NORMALIZED and not exact.scalars_equal(scalar, exact.ONE):
                     failures.append(
                         RelationFailure(
-                            f"R[{mu.render()}]", f"scalar {scalar} is not 1"
+                            f"R[{mu.render()}]", f"scalar {exact.render(scalar, polar)} is not 1"
                         )
                     )
                     continue
@@ -420,7 +425,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
                     class_scalar = scalar
             if class_scalar is not None:
                 kappa_found.append(
-                    (cls.representative.render(), str(class_scalar))
+                    (cls.representative.render(), exact.render(class_scalar, polar))
                 )
 
     return RelationReport(
@@ -436,10 +441,13 @@ def extract_kappa(rep: Representation, depth: int | None = None):
     periodic point; raises NotReducedError when the action is not scalar."""
     g = rep.graph
     fam = canonical_family(g, rep.mode)
+    depths = {cls: depth if depth is not None else 1 + len(cls.representative) + len(g.vertices)
+              for cls in entrance_free_classes(g)}
+    if depths:  # the largest test set bounds the work of every class
+        check_work(rep, max(depths.values()))
     out = {}
-    for cls in entrance_free_classes(g):
+    for cls, d in depths.items():
         mu = cls.representative
-        d = depth if depth is not None else 1 + len(mu) + len(g.vertices)
         basis = basis_elements(rep, d)
         witness, scalar = _scan_cycle_scalar(rep, fam, mu, basis)
         if witness is not None or scalar is None:
@@ -449,7 +457,7 @@ def extract_kappa(rep: Representation, depth: int | None = None):
             )
         if not exact.is_unit(scalar):
             raise NotReducedError(f"s[{mu.render()}] acts by a non-unit {scalar}")
-        out[cls] = exact.as_phase(scalar)
+        out[cls] = as_phase(scalar)
     return out
 
 
@@ -530,7 +538,7 @@ def _deep_walk_basis(g: Graph, kind: str, depth: int, walks: int, seed: int):
     efree_only = kind == OMEGA
     closers = _closers(g, efree_only)
     routes = _exit_routes(g, efree_only)
-    hard = depth + 2 * len(g.vertices) + _max_cycle_len(g) + 1
+    hard = depth + 2 * len(g.vertices) + max(_cycle_lengths(g), default=0) + 1
     for _ in range(walks):
         p = g.empty_path(rng.choice(g.vertices))
         while True:

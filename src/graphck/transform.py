@@ -31,7 +31,7 @@ from .cycles import (
     entrance_free_classes,
     is_cutting_set,
 )
-from .exact import GAUSSIAN, POLAR, Phase
+from .exact import EXACT, Phase, as_phase
 from .graph import Graph, GraphError, Path
 
 
@@ -115,14 +115,6 @@ def reduced_graph(g: Graph, cutting_set) -> ReducedGraph:
     )
 
 
-def as_phase(value) -> Phase:
-    if isinstance(value, Phase):
-        return value
-    if isinstance(value, (int, Fraction, str)):
-        return Phase(Fraction(value))
-    raise TypeError(f"cannot interpret {value!r} as an exact phase")
-
-
 def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
     """Normalize a phase assignment onto the entrance-free classes.
 
@@ -152,15 +144,10 @@ def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
     return out
 
 
-def _pin_element(g: Graph, phase: Phase, mu: Path, mode: str) -> AlgebraElement:
+def _pin_element(g: Graph, phase: Phase, mu: Path, mode: str = EXACT) -> AlgebraElement:
     """kappa(C) p_{r(mu)} - s_mu as an algebra element."""
     pin = vertex_projection(g, mu.range, mode).scaled(phase)
     return pin - path_isometry(g, mu, mode)
-
-
-def _pick_mode(phases) -> str:
-    quarter = all(ph.turn.denominator in (1, 2, 4) for ph in phases)
-    return GAUSSIAN if quarter else POLAR
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +165,7 @@ class IdealGenerators:
     pins: tuple[tuple[Phase, CycleClass], ...]
     delta_style: str
 
-    def elements(self, mode: str | None = None) -> list[AlgebraElement]:
-        if mode is None:
-            mode = _pick_mode([ph for ph, _ in self.pins])
+    def elements(self, mode: str = EXACT) -> list[AlgebraElement]:
         fam = canonical_family(self.graph, mode)
         out: list[AlgebraElement] = []
         for v in self.delta_vertices:
@@ -198,8 +183,8 @@ class IdealGenerators:
         for v in self.delta_vertices:
             out.append(f"delta[{v}]" if self.delta_style == "defect" else f"p[{v}]")
         for phase, cls in self.pins:
-            coeff = exact.PolarCoeff.from_phase(phase)
-            head = "" if coeff == exact.PolarCoeff(Fraction(1)) else f"{coeff} * "
+            coeff = exact.from_phase(phase).render(polar=True)
+            head = "" if phase.is_one else f"{coeff} * "
             for mu in cls.members:
                 out.append(f"{head}p[{mu.range}] - s[{mu.render()}]")
         return out
@@ -236,7 +221,7 @@ def jkappa_generators(tg: ToeplitzGraph, kappa) -> IdealGenerators:
     )
 
 
-def toeplitz_family(tg: ToeplitzGraph, mode: str = GAUSSIAN) -> GeneratorFamily:
+def toeplitz_family(tg: ToeplitzGraph, mode: str = EXACT) -> GeneratorFamily:
     """The dictionary family over the doubled graph, indexed by the base:
     q_v sums the twin projections and t_e the twin isometries."""
     g = tg.base
@@ -255,6 +240,18 @@ def toeplitz_family(tg: ToeplitzGraph, mode: str = GAUSSIAN) -> GeneratorFamily:
     return GeneratorFamily(index=g, p=p, s=s)
 
 
+def twist(c, alpha: Path, beta: Path, phases: Mapping[str, object]):
+    """``c`` times the phase of each edge of alpha and the conjugate phase of
+    each edge of beta, over the edges that ``phases`` covers."""
+    for e in alpha.edges:
+        if e in phases:
+            c = exact.times_phase(c, phases[e])
+    for e in beta.edges:
+        if e in phases:
+            c = exact.times_phase(c, phases[e].conjugate())
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorRescaling:
     """The gauge correspondence fixing p_v and s_e off the cutting set and
@@ -270,19 +267,10 @@ class GeneratorRescaling:
     pin_map: tuple[tuple[Path, Phase], ...]
 
     def rescale_element(self, a: AlgebraElement) -> AlgebraElement:
-        out = {}
-        for (alpha, beta), c in a.terms.items():
-            for e in alpha.edges:
-                ph = self.edge_phases.get(e)
-                if ph is not None:
-                    c = exact.times_phase(c, ph)
-            for e in beta.edges:
-                ph = self.edge_phases.get(e)
-                if ph is not None:
-                    c = exact.times_phase(c, ph.conjugate())
-            key = (alpha, beta)
-            out[key] = exact.add(out[key], c) if key in out else c
-        return AlgebraElement(out, a.mode)
+        return AlgebraElement(
+            {(al, be): twist(c, al, be, self.edge_phases) for (al, be), c in a.terms.items()},
+            a.mode,
+        )
 
     def inverse(self) -> "GeneratorRescaling":
         inv = {e: ph.conjugate() for e, ph in self.edge_phases.items()}
@@ -327,7 +315,6 @@ def rescale_generators(g: Graph, cutting_set, kappa) -> GeneratorRescaling:
         constant = as_phase(kappa)
         table = {x: constant for x in chosen}
     edge_phases = {x: table[x].conjugate() for x in chosen}
-    mode = _pick_mode(list(table.values()))
     correspondence = GeneratorRescaling(
         graph=g, cutting_set=chosen, edge_phases=edge_phases, pin_map=()
     )
@@ -338,14 +325,14 @@ def rescale_generators(g: Graph, cutting_set, kappa) -> GeneratorRescaling:
         kc = table[x]
         unit = kc.conjugate()
         for mu in cls.members:
-            before = _pin_element(g, one, mu, mode)
-            target = _pin_element(g, kc, mu, mode).scaled(unit)
+            before = _pin_element(g, one, mu)
+            target = _pin_element(g, kc, mu).scaled(unit)
             if correspondence.rescale_element(before) != target:
                 raise GraphError(
                     f"rescaling failed to map the pin of {mu.render()}"
                 )
             pin_map.append((mu, unit))
-    fam = canonical_family(g, mode)
+    fam = canonical_family(g)
     for v in g.vertices:
         if g.in_edges(v):
             delta = ck_defect(fam, v)

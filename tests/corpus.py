@@ -214,6 +214,18 @@ assert all(omega_supported(g) for _, g in CORPUS)
 assert not any(omega_supported(g) for _, g in EXTRAS)
 
 
+# a 7-vertex, 16-edge graph whose depth-8 boundary test set has 79,257 vectors
+# (bench/digraph.py random_graph(random.Random(8), 7, 16)); it bounds the work
+# of verify at 937,376, above reps.WORK_BUDGET
+BUDGET_GRAPH = "".join(f"vertex v{i}\n" for i in range(7)) + "".join(
+    f"edge {e} : {s} -> {r}\n" for e, s, r in [
+        ("e0", "v6", "v0"), ("e1", "v0", "v4"), ("e10", "v1", "v2"), ("e11", "v4", "v5"),
+        ("e12", "v6", "v6"), ("e13", "v2", "v5"), ("e14", "v5", "v1"), ("e15", "v3", "v0"),
+        ("e2", "v1", "v3"), ("e3", "v2", "v6"), ("e4", "v6", "v5"), ("e5", "v4", "v2"),
+        ("e6", "v5", "v2"), ("e7", "v3", "v1"), ("e8", "v2", "v3"), ("e9", "v1", "v4"),
+    ])
+
+
 def random_graph(rng: random.Random, max_vertices: int = 8, density: float = 0.3) -> Graph:
     """Seeded directed graph: each ordered vertex pair (self-loops included)
     carries an edge with the given probability."""

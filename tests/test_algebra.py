@@ -58,12 +58,15 @@ def test_multiplication_examples():
 
 
 def test_mixed_mode_rejected():
+    # an inexact scalar cannot enter an exact element; an element with a
+    # complex operand is complex
     g1 = g1_loop()
-    a = vertex_projection(g1, "v", exact.GAUSSIAN)
-    b = vertex_projection(g1, "v", exact.POLAR)
-    with pytest.raises(exact.ExactnessError, match="mixed"):
-        a * b
-    assert (zero(exact.POLAR) + a).mode == exact.GAUSSIAN
+    a = vertex_projection(g1, "v", exact.EXACT)
+    b = vertex_projection(g1, "v", exact.COMPLEX)
+    with pytest.raises(exact.ExactnessError, match="inexact"):
+        a.scaled(0.5 + 0j)
+    assert (a * b).mode == (zero(exact.COMPLEX) + a).mode == exact.COMPLEX
+    assert (a + b) == a.scaled(2)
 
 
 def test_star_algebra_axioms_on_random_elements():

@@ -1,12 +1,13 @@
 import json
 import random
+import time
 
 import pytest
 
-from graphck import Graph, is_maximal_tail, sources
+from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
 from graphck.cli import main
 from graphck.graph import cyclic_components
-from corpus import g1_loop, g2_cyc2, g3_ent, g4_line
+from corpus import BUDGET_GRAPH, g1_loop, g2_cyc2, g3_ent, g4_line
 
 
 @pytest.fixture
@@ -241,3 +242,49 @@ def test_pretty_mode_runs(files, capsys):
     code, out, _ = _run(capsys, ["analyze", files["g1"], "--pretty"])
     assert code == 0
     assert "command : analyze" in out
+
+
+def test_verify_work_budget_exits_2(capsys, tmp_path):
+    path = tmp_path / "dense.graph"
+    path.write_text(BUDGET_GRAPH)
+    started = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", str(path), "--rep=boundary", "--level=ck"])
+    assert time.perf_counter() - started < 2.0
+    assert code == 2 and out == ""
+    assert "10652 paths x (1 + 87 rotations) = 937376" in err and "200000" in err
+    # a shallower test set fits the budget
+    code, _, _ = _run(capsys, ["verify", str(path), "--rep=boundary", "--level=ck", "--depth=2"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv,level", [
+    (["expect", "--element=1@1/99991 * p[a]"], 99991),
+    (["expect", "--element=1@1/97 * p[a] + 1@1/101 * s[la]"], 9797),
+    (["verify", "--rep=twisted", "--level=ck", "--kappa=la:1/99991"], 99991),
+])
+def test_large_turn_denominators_exit_2(capsys, tmp_path, argv, level):
+    path = tmp_path / "loop.graph"
+    path.write_text("vertex a\nvertex b\nedge la : a -> a\nedge f : a -> b\n")
+    started = time.perf_counter()
+    code, out, err = _run(capsys, [argv[0], str(path), *argv[1:]])
+    assert time.perf_counter() - started < 2.0
+    assert code == 2 and out == ""
+    assert f"level {level}" in err and "1000" in err
+    # a prime denominator within the limit passes
+    code, _, _ = _run(capsys, ["verify", str(path), "--rep=twisted", "--level=ck", "--kappa=la:1/97"])
+    assert code == 0
+
+
+def test_expect_sums_two_directions(capsys, tmp_path):
+    path = tmp_path / "loop.graph"
+    path.write_text("vertex a\nvertex b\nedge la : a -> a\nedge f : a -> b\n")
+    text = "1@1/3 * p[a] + i * s[la]"
+    code, out, _ = _run(capsys, ["expect", str(path), f"--element={text}"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["element"] == "1@1/3 * p[a] + 1@1/4 * s[la]"
+    # s_la = p_a merges the terms into exp(2 pi i/3) + i, which is no single
+    # direction; it prints over the power basis of Q(zeta_12)
+    assert result["wNormalForm"] == result["expectation"] == "-(1-1@1/6-1@1/4) * p[a]"
+    g = parse_graph(path.read_text())
+    assert parse_element(g, result["wNormalForm"]) == element_w_normal_form(g, parse_element(g, text))

@@ -1,6 +1,6 @@
-"""Operator equality: the closed-form Gaussian route against the test-set
-scan, one unit test per branch of the decision, and the scan's own verdicts
-on polar and complex inputs."""
+"""Operator equality: the closed form against the test-set scan, one unit
+test per branch of the decision, and pinned verdicts on inputs twisted by
+non-quarter and complex phases."""
 
 import cmath
 import math
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphck import (
     AlgebraElement,
-    ExactnessError,
     GaussianRational,
     Graph,
     Phase,
@@ -19,6 +18,7 @@ from graphck import (
     canonical_cutting_set,
     canonical_family,
     ck_defect,
+    deep_walk_equal,
     enumerate_paths,
     left_regular,
     omega,
@@ -96,7 +96,7 @@ def test_ck_refinement_across_mixed_beta_lengths():
 def test_twisted_gaussian_pin_and_defect():
     g = g2_cyc2()
     trep = twisted_boundary(g, {"e1": Phase(Fraction(1, 4))})
-    assert trep.mode == "gaussian"
+    assert trep.mode == "exact"
     mu = _s(g, "e1", "e2")
     i = GaussianRational(0, 1)
     assert operator_equal(trep, mu, vertex_projection(g, "v").scaled(i))
@@ -106,8 +106,9 @@ def test_twisted_gaussian_pin_and_defect():
 
 
 def test_gaussian_route_builds_no_test_set(monkeypatch):
+    """No input reaches a test set: Gaussian, 1/3-turn and complex twists."""
     def refuse(*args):
-        raise AssertionError("the Gaussian route scanned a test set")
+        raise AssertionError("operator_equal scanned a test set")
 
     monkeypatch.setattr(reps, "basis_elements", refuse)
     monkeypatch.setattr(reps, "equality_depth", refuse)
@@ -118,6 +119,17 @@ def test_gaussian_route_builds_no_test_set(monkeypatch):
     assert not operator_equal(left_regular(g), vertex_projection(g, "u"), ck)
     trep = twisted_boundary(g2, {"e1": Phase(Fraction(1, 2))})
     assert operator_equal(trep, _s(g2, "e1", "e2"), vertex_projection(g2, "v").scaled(-1))
+    third = Phase(Fraction(1, 3))
+    trep = twisted_boundary(g2, {"e1": third})
+    mu, p_v = _s(g2, "e1", "e2"), vertex_projection(g2, "v")
+    assert operator_equal(trep, mu, p_v.scaled(third))
+    assert not operator_equal(trep, mu + p_v, p_v.scaled(2))
+    zeta = cmath.exp(2j * math.pi / 3)
+    crep = twisted_boundary(g2, {"e1": zeta})
+    cfam = canonical_family(g2, "complex")
+    cmu = cfam.s["e1"] * cfam.s["e2"]
+    assert operator_equal(crep, cmu, cfam.p["v"].scaled(zeta))
+    assert not operator_equal(crep, cmu, cfam.p["v"])
 
 
 # ------------------------------------------------- agreement with the scan
@@ -152,7 +164,7 @@ def test_closed_form_matches_test_set_scan(g, data):
     pools = {}
     for p in enumerate_paths(g, 2):
         pools.setdefault(p.source, []).append(p)
-    turns = {x: Phase(Fraction(data.draw(st.integers(0, 3)), 4))
+    turns = {x: Phase(Fraction(data.draw(st.integers(0, 11)), 12))
              for x in canonical_cutting_set(g)}
     kinds = [boundary(g), left_regular(g), twisted_boundary(g, turns)]
     if omega_supported(g):
@@ -169,31 +181,32 @@ def test_closed_form_matches_test_set_scan(g, data):
         assert operator_equal(rep, a, b) == test_set_equal_oracle(rep, a, b)
 
 
-# ------------------------------------------ polar and complex keep the scan
+# ------------------------------- non-quarter and complex twists, pinned
 
 
 def _scan_cases():
-    """Outcomes of the test-set scan, recorded before the closed form was
-    added; polar and complex inputs still take the scan.  Polar mode cannot
-    add two distinct directions, hence the two ExactnessError cases."""
+    """Verdicts recorded from the test-set scan before the closed form
+    decided these inputs.  "polar two directions" and "polar cycle sum" add
+    two directions; the scan raised ExactnessError on them while the
+    coefficients could not hold such sums, and their true verdict is False."""
     g = dict(CORPUS)["selfloopmix"]  # loops la at a and lb at b, f : a -> b
     third = Phase(Fraction(1, 3))
     polar = twisted_boundary(g, {"la": third})
-    fam = canonical_family(g, "polar")
+    fam = canonical_family(g)
     s_la, p_a = fam.s["la"], fam.p["a"]
     yield "polar pin", polar, s_la, p_a.scaled(third), True
     yield "polar untwisted pin", polar, s_la, p_a, False
-    yield "polar two directions", polar, p_a + s_la, p_a, ExactnessError
-    yield "polar defect", polar, ck_defect(fam, "b"), zero("polar"), True
+    yield "polar two directions", polar, p_a + s_la, p_a, False
+    yield "polar defect", polar, ck_defect(fam, "b"), zero(), True
     yield "polar loop with entrance", polar, fam.s["lb"], fam.p["b"], False
     yield "polar twisted path", polar, fam.s["f"] * s_la, fam.s["f"].scaled(third), True
     g2 = g2_cyc2()
     polar2 = twisted_boundary(g2, {"e1": third})
-    fam2 = canonical_family(g2, "polar")
+    fam2 = canonical_family(g2)
     mu = fam2.s["e1"] * fam2.s["e2"]
     yield "polar cycle pin", polar2, mu, fam2.p["v"].scaled(third), True
     yield "polar cycle square", polar2, mu * mu, fam2.p["v"].scaled(third * third), True
-    yield "polar cycle sum", polar2, mu + fam2.p["v"], fam2.p["v"].scaled(2), ExactnessError
+    yield "polar cycle sum", polar2, mu + fam2.p["v"], fam2.p["v"].scaled(2), False
     zeta = cmath.exp(2j * math.pi / 3)
     cplx = twisted_boundary(g, {"la": zeta})
     cfam = canonical_family(g, "complex")
@@ -211,10 +224,6 @@ SCAN_CASES = list(_scan_cases())
 @pytest.mark.parametrize("name,rep,a,b,expected", SCAN_CASES,
                          ids=[case[0] for case in SCAN_CASES])
 def test_polar_and_complex_verdicts_unchanged(name, rep, a, b, expected):
-    assert rep.mode in ("polar", "complex")
-    if expected is ExactnessError:
-        with pytest.raises(ExactnessError):
-            operator_equal(rep, a, b)
-    else:
-        assert operator_equal(rep, a, b) is expected
-
+    assert operator_equal(rep, a, b) is expected
+    assert test_set_equal_oracle(rep, a, b) is expected
+    assert deep_walk_equal(rep, a, b) is expected

@@ -1,9 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphck import ExactnessError, GaussianRational, Phase, PolarCoeff
+from graphck import (
+    Cyclotomic,
+    ExactnessError,
+    GaussianRational,
+    Graph,
+    Phase,
+    PolarCoeff,
+    parse_element,
+    vertex_projection,
+)
 from graphck import exact
+from graphck.exact import TOL
+
+I = GaussianRational(0, 1)
 
 
 def test_phase_normalization_and_product():
@@ -17,48 +30,49 @@ def test_phase_normalization_and_product():
 def test_gaussian_arithmetic():
     a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
     b = GaussianRational(Fraction(2), Fraction(-1))
+    assert isinstance(a, Cyclotomic) and a.level == 4
+    assert GaussianRational(Fraction(3, 2)).level == 1
     assert a + b == GaussianRational(Fraction(5, 2), Fraction(-2, 3))
     assert a * b == GaussianRational(
         Fraction(1, 2) * 2 + Fraction(1, 3), Fraction(1, 3) * 2 - Fraction(1, 2)
     )
-    assert a.conjugate().im == -a.im
+    assert a.conjugate() == GaussianRational(Fraction(1, 2), Fraction(-1, 3))
     assert (a - a).is_zero
-    assert GaussianRational(Fraction(3, 5), Fraction(4, 5)).modulus_sq() == 1
+    assert exact.is_unit(GaussianRational(Fraction(3, 5), Fraction(4, 5)))
 
 
 def test_gaussian_quarter_turns():
     one = GaussianRational(Fraction(1))
-    assert exact.times_phase(one, Phase(Fraction(1, 4))) == GaussianRational(
-        Fraction(0), Fraction(1)
-    )
-    assert exact.times_phase(one, Phase(Fraction(1, 2))) == GaussianRational(
-        Fraction(-1)
-    )
-    with pytest.raises(ExactnessError):
-        exact.times_phase(one, Phase(Fraction(1, 3)))
-    # zero swallows any phase
+    assert exact.times_phase(one, Phase(Fraction(1, 4))) == I
+    assert exact.times_phase(one, Phase(Fraction(1, 2))) == GaussianRational(-1)
+    # any rational turn stays exact: a third turn lands in Q(zeta_3)
+    third = exact.times_phase(one, Phase(Fraction(1, 3)))
+    assert third == PolarCoeff(1, Fraction(1, 3)) and third.level == 3
     assert exact.times_phase(GaussianRational(0), Phase(Fraction(1, 3))).is_zero
 
 
 def test_polar_canonical_form():
-    c = PolarCoeff(Fraction(2), Fraction(3, 4))
-    assert c.mag == -2 and c.turn == Fraction(1, 4)
-    assert PolarCoeff(Fraction(0), Fraction(1, 3)).turn == 0
-    assert PolarCoeff.from_phase(Phase(Fraction(2, 3))) == PolarCoeff(
+    # the turn is printed in [0, 1/2), a half turn folded into the sign
+    assert PolarCoeff(Fraction(2), Fraction(3, 4)).render(polar=True) == "-2@1/4"
+    assert PolarCoeff(Fraction(2), Fraction(3, 4)) == GaussianRational(0, -2)
+    assert PolarCoeff(Fraction(0), Fraction(1, 3)).is_zero
+    assert exact.from_phase(Phase(Fraction(2, 3))) == PolarCoeff(
         Fraction(-1), Fraction(1, 6)
     )
+    assert PolarCoeff(1, Fraction(1, 3)).polar_terms() == [(1, Fraction(1, 3))]
 
 
 def test_polar_addition_rules():
     a = PolarCoeff(Fraction(1), Fraction(1, 3))
     b = PolarCoeff(Fraction(1, 2), Fraction(1, 3))
     assert a + b == PolarCoeff(Fraction(3, 2), Fraction(1, 3))
-    # opposite directions fold into signed magnitude, so they combine too
-    c = PolarCoeff(Fraction(1), Fraction(5, 6))
-    assert (a + c).mag == 0
-    with pytest.raises(ExactnessError):
-        a + PolarCoeff(Fraction(1), Fraction(1, 5))
-    assert (a + PolarCoeff(Fraction(0))) == a
+    c = PolarCoeff(Fraction(1), Fraction(5, 6))  # the opposite direction
+    assert (a + c).is_zero
+    # distinct directions add exactly: zeta_3 + zeta_6 = sqrt(3) i
+    s = a + PolarCoeff(Fraction(1), Fraction(1, 6))
+    assert s * s == GaussianRational(-3)
+    assert len(s.polar_terms()) == 2
+    assert a + PolarCoeff(Fraction(0)) == a
 
 
 def test_polar_multiplication_and_conjugate():
@@ -71,30 +85,30 @@ def test_polar_multiplication_and_conjugate():
 
 def test_mode_dispatch():
     g = GaussianRational(Fraction(1))
-    p = PolarCoeff(Fraction(1))
-    with pytest.raises(ExactnessError):
-        exact.add(g, p)
-    assert exact.scalars_equal(g, p)  # cross-mode equality via conversion
+    # one exact type: Gaussian and polar literals of one value are equal
+    assert exact.scalars_equal(g, PolarCoeff(Fraction(1)))
     assert exact.scalars_equal(
         PolarCoeff(Fraction(2), Fraction(1, 4)), GaussianRational(0, Fraction(2))
     )
-    assert not exact.scalars_equal(
-        PolarCoeff(Fraction(1), Fraction(1, 3)), GaussianRational(Fraction(1))
-    )
+    assert not exact.scalars_equal(PolarCoeff(Fraction(1), Fraction(1, 3)), g)
+    # a complex operand makes the result complex, compared within TOL
     assert exact.scalars_equal(complex(0, 1), GaussianRational(0, Fraction(1)))
+    assert isinstance(exact.add(g, 1j), complex)
+    assert abs(exact.mul(PolarCoeff(1, Fraction(1, 3)), 2j) - 2j * Phase(Fraction(1, 3)).value) < TOL
 
 
 def test_coerce_and_units():
-    assert exact.coerce(Fraction(1, 2), exact.POLAR) == PolarCoeff(Fraction(1, 2))
-    assert exact.coerce(Phase(Fraction(1, 4)), exact.GAUSSIAN) == GaussianRational(
-        0, Fraction(1)
-    )
+    assert exact.coerce(Fraction(1, 2), exact.EXACT) == GaussianRational(Fraction(1, 2))
+    assert exact.coerce(Phase(Fraction(1, 4)), exact.EXACT) == I
+    assert exact.coerce(Phase(Fraction(1, 3)), exact.EXACT) == PolarCoeff(1, Fraction(1, 3))
+    assert exact.coerce(Phase(Fraction(1, 2)), exact.COMPLEX) == pytest.approx(-1)
     with pytest.raises(ExactnessError):
-        exact.coerce(Phase(Fraction(1, 3)), exact.GAUSSIAN)
-    with pytest.raises(ExactnessError):
-        exact.coerce(0.5 + 0j, exact.GAUSSIAN)
+        exact.coerce(0.5 + 0j, exact.EXACT)
+    with pytest.raises(ValueError, match="unknown coefficient mode"):
+        exact.coerce(1, "polar")
     assert exact.is_unit(GaussianRational(Fraction(3, 5), Fraction(4, 5)))
     assert not exact.is_unit(PolarCoeff(Fraction(2), Fraction(1, 3)))
+    assert exact.is_unit(PolarCoeff(-1, Fraction(2, 7)))
 
 
 def test_as_phase():
@@ -102,6 +116,133 @@ def test_as_phase():
         Fraction(2, 3)
     )
     assert exact.as_phase(GaussianRational(0, Fraction(-1))) == Phase(Fraction(3, 4))
+    assert exact.as_phase(Fraction(1, 3)) == Phase(Fraction(1, 3))  # a turn
     with pytest.raises(ExactnessError):
         exact.as_phase(GaussianRational(Fraction(2)))
     assert exact.as_phase(complex(0, 1)) == complex(0, 1)
+    unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))  # no root of unity
+    assert exact.as_phase(unit) is unit
+
+
+# ------------------------------------------------------- the cyclotomic type
+
+
+def test_equality_across_levels():
+    one_at_12 = PolarCoeff(1, Fraction(1, 12)) * PolarCoeff(1, Fraction(11, 12))
+    assert one_at_12.level == 12 and one_at_12 == GaussianRational(1)
+    assert one_at_12.minimal().level == (I * I).minimal().level == 1
+    assert exact.from_phase(Phase(Fraction(3, 12))) == I
+    zeta12 = PolarCoeff(1, Fraction(1, 12))
+    assert zeta12 * zeta12 * zeta12 == I
+    assert (zeta12 * zeta12 * zeta12).level == 12
+    assert zeta12 != I
+    third_at_4 = GaussianRational(0, Fraction(1, 3)) * GaussianRational(0, -1)
+    assert third_at_4.level == 4 and third_at_4 == GaussianRational(Fraction(1, 3))
+    assert third_at_4 != GaussianRational(Fraction(1, 2))
+    # Q(zeta_6) = Q(zeta_3): a sixth turn is stored at level 3
+    assert PolarCoeff(1, Fraction(1, 6)).level == 3
+
+
+def test_levels_above_the_limit_are_refused():
+    top = PolarCoeff(1, Fraction(1, 997))  # the largest prime level within the limit
+    assert top * top.conjugate() == GaussianRational(1)
+    with pytest.raises(exact.LevelError, match="level 99991"):
+        PolarCoeff(1, Fraction(1, 99991))
+    # two levels within the limit whose lcm is not
+    with pytest.raises(exact.LevelError, match="level 9797"):
+        PolarCoeff(1, Fraction(1, 97)) + PolarCoeff(1, Fraction(1, 101))
+
+
+# (re, im) -> Gaussian style and (mag, turn) -> polar style, as the separate
+# Gaussian and polar coefficient types printed them
+GAUSSIAN_STRINGS = [
+    (("0", "1"), "i"), (("0", "-1"), "-i"), (("1", "-2/3"), "(1-2/3i)"),
+    (("-1/2", "1"), "(-1/2+i)"), (("3/2", "0"), "3/2"), (("0", "2/3"), "2/3i"),
+    (("0", "-5/4"), "-5/4i"), (("-2", "7/3"), "(-2+7/3i)"), (("0", "0"), "0"),
+    (("-1", "0"), "-1"),
+]
+POLAR_STRINGS = [
+    (("1", "1/4"), "1@1/4"), (("1", "2/3"), "-1@1/6"), (("1", "1/3"), "1@1/3"),
+    (("3/2", "0"), "3/2"), (("2", "3/4"), "-2@1/4"), (("-5/7", "5/12"), "-5/7@5/12"),
+    (("1", "7/12"), "-1@1/12"), (("-1", "1/2"), "1"), (("2/5", "1/8"), "2/5@1/8"),
+    (("0", "1/3"), "0"),
+]
+
+
+@pytest.mark.parametrize("parts,text", GAUSSIAN_STRINGS)
+def test_gaussian_style_strings(parts, text):
+    assert GaussianRational(*parts).render() == text
+    assert str(GaussianRational(*parts)) == text
+
+
+@pytest.mark.parametrize("parts,text", POLAR_STRINGS)
+def test_polar_style_strings(parts, text):
+    assert PolarCoeff(*parts).render(polar=True) == text
+
+
+def test_sums_of_directions_print_as_polar_sums():
+    s = PolarCoeff(1, Fraction(1, 3)) + PolarCoeff(1, Fraction(1, 6))
+    assert s.render(polar=True) == "(1+2@1/3)"
+    assert s.render() == "(1+2@1/3)"  # no Gaussian form: polar style
+    lifted = s + I - I  # the same value stored at level 12
+    assert lifted.level == 12 and lifted.render(polar=True) == "(1+2@1/3)"
+    t = PolarCoeff(1, Fraction(1, 12)) * PolarCoeff(1, Fraction(1, 12)) + GaussianRational(0, 1)
+    assert t.render(polar=True) == "(1@1/6+1@1/4)"
+    assert (t - t + I).render(polar=True) == "1@1/4"  # the least field prints
+
+
+_TURNS = st.sampled_from([Fraction(k, n) for n in (1, 2, 3, 4, 5, 8, 12) for k in range(n)])
+_MAGS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def cyclotomics(draw):
+    terms = draw(st.lists(st.tuples(_MAGS, _TURNS), min_size=1, max_size=3))
+    total = GaussianRational(0)
+    for mag, turn in terms:
+        total = total + PolarCoeff(mag, turn)
+    return total
+
+
+def _close(x, z):
+    return abs(x.value - z) < TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomics(), cyclotomics(), cyclotomics())
+def test_field_axioms_against_complex_evaluation(a, b, c):
+    zero, one = GaussianRational(0), GaussianRational(1)
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a - a).is_zero
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    assert a.conjugate().conjugate() == a
+    # the independent route: machine complex evaluation
+    assert _close(a + b, a.value + b.value)
+    assert _close(a * b, a.value * b.value)
+    assert _close(a.conjugate(), a.value.conjugate())
+    assert _close(a.minimal(), a.value)
+    assert (a * b).is_zero == (a.is_zero or b.is_zero)
+
+
+G1 = Graph(["v"], [("e", "v", "v")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclotomics(), st.booleans())
+def test_render_parses_back(c, polar):
+    e = vertex_projection(G1, "v").scaled(c)
+    assert parse_element(G1, e.render(polar)) == e
+
+
+def test_render_parses_back_examples():
+    p_v = vertex_projection(G1, "v")
+    for c in [I, GaussianRational(1, Fraction(-2, 3)), PolarCoeff(-1, Fraction(1, 6)),
+              PolarCoeff(1, Fraction(1, 3)) + PolarCoeff(1, Fraction(1, 6)),
+              PolarCoeff(2, Fraction(1, 5)) - PolarCoeff(1, Fraction(1, 7)),
+              -(PolarCoeff(1, Fraction(1, 3)) + PolarCoeff(1, Fraction(1, 6)))]:
+        e = p_v.scaled(c) + p_v.scaled(c).scaled(Phase(Fraction(1, 8))) * vertex_projection(G1, "v")
+        for polar in (False, True):
+            assert parse_element(G1, e.render(polar)) == e, e.render(polar)

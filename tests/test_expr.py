@@ -56,7 +56,10 @@ def test_parse_polar_coefficients():
     ((_, coeff),) = list(el.terms.items())
     assert coeff == PolarCoeff(Fraction(1), Fraction(1, 3))
     mixed = parse_element(g1, "1@1/3 * p[v] + 2 * s[e]")
-    assert mixed.mode == "polar"
+    assert mixed.mode == "exact"
+    # two directions add exactly: exp(2 pi i/3) + exp(2 pi i/6) = sqrt(3) i
+    (coeff,) = parse_element(g1, "1@1/3 * p[v] + 1@1/6 * p[v]").terms.values()
+    assert coeff * coeff == GaussianRational(-3)
 
 
 def test_parse_roundtrip_through_render():
@@ -66,6 +69,8 @@ def test_parse_roundtrip_through_render():
         "s[e1 e2] * s*[e1 e2]",
         "1/2 * p[u] - 3 * s[e1] + i * s*[e2]",
         "(1+1/2i) * s[e1]",
+        "(1+i) * p[u] + 1@1/3 * s[e1]",
+        "(-1+2@1/6) * s[e1 e2] - (1@1/5+1/2@1/4) * s*[e2]",
     ]
     for text in examples:
         el = parse_element(g2, text)
@@ -94,7 +99,5 @@ def test_parse_errors():
         parse_element(g1, "s[nope]")
     with pytest.raises(ExprError, match="unexpected character"):
         parse_element(g1, "p[v] $ s[e]")
-    # gaussian i mixed into polar mode has no exact polar form only when
-    # both parts are nonzero
     with pytest.raises(ExprError):
-        parse_element(g1, "(1+i) * p[v] + 1@1/3 * s[e]")
+        parse_element(g1, "(1+i * p[v]")

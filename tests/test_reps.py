@@ -14,6 +14,7 @@ from graphck import (
     GaussianRational,
     GraphError,
     NotReducedError,
+    WorkBudgetError,
     Phase,
     apply,
     basis_elements,
@@ -35,6 +36,7 @@ from graphck import (
     omega,
     omega_set,
     operator_equal,
+    parse_graph,
     path_isometry,
     paths_up_to,
     prepend,
@@ -46,7 +48,7 @@ from graphck import (
     zero,
 )
 from graphck import exact, is_cofinal
-from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, random_element
+from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, random_element
 
 
 def _omega_graphs(limit=None):
@@ -87,6 +89,10 @@ def test_twisted_construction_validation():
         twisted_boundary(g3_ent(), {"e1": Phase(0)})
     with pytest.raises(GraphError, match="unit"):
         twisted_boundary(g2, {"e1": 0.5 + 0j})
+    # an exact unit of infinite order is no rational phase
+    with pytest.raises(GraphError, match="infinite order"):
+        twisted_boundary(g2, {"e1": exact.GaussianRational(Fraction(3, 5), Fraction(4, 5))})
+    assert twisted_boundary(g2, {"e1": exact.PolarCoeff(-1, Fraction(1, 6))}).kappa == {"e1": Phase(Fraction(2, 3))}
 
 
 def test_omega_rejects_unsupported_graphs():
@@ -154,6 +160,13 @@ def test_twisted_reduced_and_extract_kappa():
     assert extract_kappa(twisted_boundary(g3_ent(), {})) == {}
 
 
+def test_extract_kappa_refuses_work_over_budget():
+    g = parse_graph(BUDGET_GRAPH + "vertex w\nedge lw : w -> w\n")
+    with pytest.raises(WorkBudgetError, match="depth-10 test set"):
+        extract_kappa(boundary(g))
+    assert list(extract_kappa(boundary(g), depth=2).values()) == [Phase(0)]
+
+
 def test_extract_kappa_rejects_left_regular():
     with pytest.raises(NotReducedError):
         extract_kappa(left_regular(g1_loop()))
@@ -173,7 +186,7 @@ def test_phase_accumulates_once_per_period():
     trep = twisted_boundary(g2, {"e1": Phase(Fraction(1, 3))})
     (cls,) = entrance_free_classes(g2)
     assert extract_kappa(trep)[cls] == Phase(Fraction(1, 3))
-    double = path_isometry(g2, g2.path(["e1", "e2", "e1", "e2"]), "polar")
+    double = path_isometry(g2, g2.path(["e1", "e2", "e1", "e2"]))
     x = canonicalize(g2.empty_path("v"), g2.path(["e1", "e2"]))
     out = apply(trep, double, x)
     assert out == {x: exact.PolarCoeff(Fraction(1), Fraction(2, 3))}
@@ -259,7 +272,7 @@ def test_representation_is_multiplicative_on_random_elements():
 def test_ideal_generators_vanish_in_kernel_representations():
     for name, g in _omega_graphs(12):
         brep = boundary(g)
-        for el in ikappa_generators(g, Phase(0)).elements(mode="gaussian"):
+        for el in ikappa_generators(g, Phase(0)).elements(mode="exact"):
             assert operator_equal(brep, el, zero()), name
         cut = canonical_cutting_set(g)
         if cut:

@@ -128,7 +128,7 @@ def test_ideal_generators_vanish_in_matching_representation():
         gens = ikappa_generators(g, Phase(0))
         rep = boundary(g)
         nil = zero()
-        for el in gens.elements(mode="gaussian"):
+        for el in gens.elements(mode="exact"):
             assert operator_equal(rep, el, nil)
         if entrance_free_classes(g):
             kappa = {x: Phase(Fraction(1, 3)) for x in canonical_cutting_set(g)}
@@ -195,7 +195,7 @@ def test_rescale_identity_and_roundtrip():
     assert rs.then(rs.inverse()).is_identity
     trivial = rescale_generators(g2, ("e1",), Phase(0))
     assert trivial.is_identity
-    s_e2 = path_isometry(g2, "e2", "polar")
+    s_e2 = path_isometry(g2, "e2")
     assert rs.rescale_element(s_e2) == s_e2  # off-cutting-set edges are fixed
 
 
