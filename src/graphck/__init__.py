@@ -96,7 +96,6 @@ from .reps import (
     apply,
     basis_elements,
     boundary,
-    deep_walk_equal,
     extract_kappa,
     left_regular,
     min_verification_depth,

@@ -275,6 +275,9 @@ class Cyclotomic:
 
     __str__ = render
 
+    def __repr__(self) -> str:
+        return f"<Cyclotomic {self.render()}>"
+
 
 def _fold(mag: Fraction, turn: Fraction) -> tuple[Fraction, Fraction]:
     """Canonical polar pair: turn in [0, 1/2), a half turn folded into the sign."""

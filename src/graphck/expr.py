@@ -51,7 +51,10 @@ def _tokenize(text: str):
             ids = tuple(inner[:-1].split())
             tokens.append(("gen", head, ids))
         elif m.lastgroup == "num":
-            tokens.append(("num", Fraction(m.group())))
+            try:
+                tokens.append(("num", Fraction(m.group())))
+            except ZeroDivisionError as err:
+                raise ExprError(f"zero denominator at position {m.start()}: {m.group()!r}") from err
         elif m.lastgroup == "imag":
             tokens.append(("i",))
         else:

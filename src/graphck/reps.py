@@ -29,16 +29,16 @@ same rule: a vertex on an entrance-free cycle is forced, and elsewhere no
 omega path is purely periodic while ``omega_supported`` keeps the omega
 space at w nonempty.
 
-Test sets serve ``verify_relations`` and ``extract_kappa`` (up to
-``WORK_BUDGET``); ``deep_walk_equal`` decides equality on seeded random walks.
+``verify_relations`` and ``extract_kappa`` decide every relation with
+``operator_equal`` as well, so test sets now serve only the witness search:
+a relation already known to fail lists the test set of the requested depth
+lazily, in its sorted order, up to its least witness (at most
+``WORK_BUDGET`` paths and vectors).
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import exact
 from .algebra import (
@@ -51,7 +51,6 @@ from .algebra import (
 from .boundary import (
     BoundaryPath,
     boundary_set,
-    canonicalize,
     omega_set,
     omega_supported,
     prepend,
@@ -64,8 +63,8 @@ from .cycles import (
     simple_cycles,
 )
 from .exact import COMPLEX, EXACT, Phase, as_phase
-from .graph import Graph, GraphError, Path, enumerate_paths, sources
-from .transform import GeneratorRescaling, twist
+from .graph import Graph, GraphError, Path, enumerate_paths, path_key, sources
+from .transform import GeneratorRescaling, rational_phase, twist
 
 LEFT_REGULAR = "left-regular"
 BOUNDARY = "boundary"
@@ -79,8 +78,6 @@ NORMALIZED = "normalized"
 
 LEVELS = (TCK, CK, REDUCED, NORMALIZED)
 
-DEEP_WALK_SEED = 101
-DEEP_WALK_COUNT = 200
 WORK_BUDGET = 200_000
 
 
@@ -89,7 +86,7 @@ class NotReducedError(GraphError):
 
 
 class WorkBudgetError(GraphError):
-    """A test set would cost more than ``WORK_BUDGET`` to build and scan."""
+    """A witness search generated more than ``WORK_BUDGET`` paths and vectors."""
 
 
 class Representation:
@@ -139,9 +136,7 @@ def twisted_boundary(g: Graph, kappa, cutting_set=None) -> Representation:
     if not is_cutting_set(g, chosen):
         raise GraphError(f"{chosen} is not a cutting set")
     if not any(isinstance(v, (complex, float)) for v in table.values()):
-        phases = {e: as_phase(v) for e, v in table.items()}
-        if not all(isinstance(ph, Phase) for ph in phases.values()):
-            raise GraphError("exact kappa values must be rational phases, not units of infinite order")
+        phases = {e: rational_phase(v) for e, v in table.items()}
         return Representation(TWISTED, g, phases, chosen)
     phases = {}
     for e, v in table.items():
@@ -152,24 +147,12 @@ def twisted_boundary(g: Graph, kappa, cutting_set=None) -> Representation:
     return Representation(TWISTED, g, phases, chosen, COMPLEX)
 
 
-def basis_kind(rep: Representation) -> str:
-    if rep.kind == LEFT_REGULAR:
-        return LEFT_REGULAR
-    if rep.kind == OMEGA:
-        return OMEGA
-    return BOUNDARY
-
-
-@lru_cache(maxsize=None)
-def _path_basis(g: Graph, depth: int) -> tuple[Path, ...]:
-    return tuple(enumerate_paths(g, depth))
-
-
 def basis_elements(rep: Representation, depth: int):
-    kind = basis_kind(rep)
-    if kind == LEFT_REGULAR:
-        return _path_basis(rep.graph, depth)
-    if kind == OMEGA:
+    """The test set of ``depth``, built eagerly: paths of length <= depth on
+    the left-regular basis, ``omega_set`` or ``boundary_set`` otherwise."""
+    if rep.kind == LEFT_REGULAR:
+        return tuple(enumerate_paths(rep.graph, depth))
+    if rep.kind == OMEGA:
         return omega_set(rep.graph, depth)
     return boundary_set(rep.graph, depth)
 
@@ -205,37 +188,6 @@ def combos_equal(d1, d2) -> bool:
     if set(d1) != set(d2):
         return False
     return all(exact.scalars_equal(c, d2[k]) for k, c in d1.items())
-
-
-@lru_cache(maxsize=None)
-def _cycle_lengths(g: Graph) -> tuple[int, ...]:
-    """The length of each simple cycle of ``g``, enumerated once per graph."""
-    return tuple(len(c) for c in simple_cycles(g))
-
-
-def equality_depth(rep: Representation, *elems: AlgebraElement) -> int:
-    longest = max((e.max_key_length() for e in elems), default=0)
-    return longest + len(rep.graph.vertices) + max(_cycle_lengths(rep.graph), default=0)
-
-
-def check_work(rep: Representation, depth: int) -> None:
-    """Refuse a test set of ``depth`` whose work bound exceeds ``WORK_BUDGET``:
-    the paths of length <= depth (counted over in-edges, not listed), times
-    1 + the number of simple-cycle rotations on the boundary kinds."""
-    g = rep.graph
-    counts, paths = dict.fromkeys(g.vertices, 1), len(g.vertices)  # by source
-    for _ in range(depth):
-        step = dict.fromkeys(g.vertices, 0)
-        for v, n in counts.items():
-            for e in g.in_edges(v):
-                step[g.source_of(e)] += n
-        counts = step
-        paths += sum(counts.values())
-    rots = 0 if rep.kind == LEFT_REGULAR else sum(_cycle_lengths(g))
-    if paths * (1 + rots) > WORK_BUDGET:
-        raise WorkBudgetError(f"a depth-{depth} test set bounds the work at {paths} paths x "
-                              f"(1 + {rots} rotations) = {paths * (1 + rots)}, above the "
-                              f"budget of {WORK_BUDGET}; lower --depth")
 
 
 def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -299,129 +251,180 @@ def min_verification_depth(index: Graph, level: str) -> int:
     return depth
 
 
-def _scan_cycle_scalar(rep, fam, mu, basis):
-    """Check s_mu acts as one scalar on every basis vector at r(mu).
+def _test_vectors(rep: Representation, depth: int):
+    """The test set ``basis_elements(rep, depth)``, generated lazily one
+    length layer at a time in the same sorted order: finite paths by length,
+    then periodic ones by prefix length.  Raises WorkBudgetError once the
+    paths and vectors generated pass ``WORK_BUDGET``."""
+    g = rep.graph
+    work = 0
 
-    Returns (witness, scalar); witness is None on success, scalar is None on
-    failure.
+    def counted(items):
+        nonlocal work
+        work += len(items)
+        if work > WORK_BUDGET:
+            raise WorkBudgetError(f"a witness search in the depth-{depth} test set generated more "
+                                  f"than {WORK_BUDGET} paths and vectors; lower --depth")
+        return items
+
+    def layers(starts, grow):
+        layer = sorted(starts, key=path_key)
+        for n in range(depth + 1):
+            if n:
+                layer = sorted((q for p in layer for q in grow(p)), key=path_key)
+            if not layer:
+                return
+            yield counted(layer)
+
+    if rep.kind == LEFT_REGULAR:
+        def back(p):
+            return [p.concat(g.edge_path(e)) for e in g.in_edges(p.source)]
+        for layer in layers([g.empty_path(v) for v in g.vertices], back):
+            yield from layer
+        return
+
+    def ahead(p):  # paths grow at the range end, so every layer keeps its sources
+        return [g.edge_path(e).concat(p) for e in g.out_edges(p.range)]
+
+    for layer in layers([g.empty_path(v) for v in sources(g)], ahead):
+        yield from (BoundaryPath(p) for p in layer)
+    if rep.kind == OMEGA:
+        periods = [rot for cls in entrance_free_classes(g) for rot in cls.members]
+    else:
+        periods = [rot for c in simple_cycles(g) for rot in rotations(c)]
+    at: dict[str, list[Path]] = {}
+    for per in periods:
+        at.setdefault(per.range, []).append(per)
+    for layer in layers([g.empty_path(v) for v in at], ahead):
+        vectors = [BoundaryPath(p, per) for p in layer for per in at[p.source]
+                   if p.is_empty or p.edges[-1] != per.edges[-1]]  # canonical pairs only
+        yield from sorted(counted(vectors), key=BoundaryPath.sort_key)
+
+
+def _least_witness(rep: Representation, depth: int, fails):
+    """The first test vector of ``depth`` on which ``fails`` holds, or None."""
+    return next((x for x in _test_vectors(rep, depth) if fails(x)), None)
+
+
+def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int,
+                  closed_form: bool = True):
+    """Whether s_mu acts as one scalar on the test vectors at r(mu).
+
+    Returns (witness, scalar): (None, c) on success, (x, None) for the least
+    vector x where s_mu is not the scalar it takes on the first, and
+    (None, None) when no vector sits at r(mu).  On the boundary kinds of the
+    canonical family the first such vector is the periodic point mu^inf
+    (r(mu) lies on an entrance-free cycle, so no finite path and no other
+    period reaches it); c is read there and s_mu = c p_{r(mu)} is decided by
+    ``operator_equal``, so only a failure scans.
     """
     elem = fam.s_path(mu)
+    if closed_form and rep.kind != LEFT_REGULAR:
+        x = BoundaryPath(rep.graph.empty_path(mu.range), mu)
+        out = apply(rep, elem, x)
+        if list(out) == [x] and operator_equal(rep, elem, fam.p[mu.range].scaled(out[x])):
+            return None, out[x]
     scalar = None
-    for x in basis:
+    for x in _test_vectors(rep, depth):
         if x.range != mu.range:
             continue
         out = apply(rep, elem, x)
         if len(out) != 1 or x not in out:
             return x, None
-        k = out[x]
         if scalar is None:
-            scalar = k
-        elif not exact.scalars_equal(k, scalar):
+            scalar = out[x]
+        elif not exact.scalars_equal(out[x], scalar):
             return x, None
     return None, scalar
 
 
 def verify_relations(rep: Representation, level: str, depth: int | None = None,
                      family: GeneratorFamily | None = None) -> RelationReport:
-    """Check the family relations as operator identities on the test set.
+    """Check the family relations as operator identities.
 
     Levels: ``tck`` checks orthogonal projections, the source identities
     s_e^* s_e = p_{s(e)}, and the range-projection domination at every
-    vertex; ``ck`` adds the full in-edge sum identity; ``reduced`` adds, per
-    entrance-free rotation, that the cycle isometry is a unit scalar times
-    its range projection (the scalar is discovered and reported);
-    ``normalized`` requires that scalar to be 1.
+    vertex (the CK defect is a projection); ``ck`` adds the full in-edge sum
+    identity; ``reduced`` adds, per entrance-free rotation, that the cycle
+    isometry is a unit scalar times its range projection (the scalar is
+    discovered and reported); ``normalized`` requires that scalar to be 1.
 
-    All failing instances are reported, each with its least witness.
+    Each relation is decided by ``operator_equal``.  Only a relation that
+    fails is scanned for its least witness in the test set of ``depth``; one
+    with no witness there passes at that depth.  A custom ``family`` keeps the
+    scan for the domination and cycle relations, since the closed forms rest
+    on range projections that are diagonal in the basis.  All failing
+    instances are reported, each with its least witness.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    fam = family if family is not None else canonical_family(rep.graph, rep.mode)
+    canonical = family is None
+    fam = canonical_family(rep.graph, rep.mode) if canonical else family
     idx = fam.index
     mind = min_verification_depth(idx, level)
     if depth is None:
         depth = mind + len(rep.graph.vertices)
     if depth < mind:
         raise ValueError(f"depth {depth} is below the required minimum {mind}")
-    check_work(rep, depth)
-    basis = basis_elements(rep, depth)
     # scalars print in polar style when some phase is no quarter turn
     polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
 
-    def first_witness(e1, e2):
-        for x in basis:
-            if not combos_equal(apply(rep, e1, x), apply(rep, e2, x)):
-                return x
-        return None
+    def check(name, holds, fails):
+        witness = None if holds else _least_witness(rep, depth, fails)
+        if witness is not None:
+            failures.append(RelationFailure(name, witness.render()))
+
+    def identity(name, e1, e2):
+        check(name, operator_equal(rep, e1, e2),
+              lambda x: not combos_equal(apply(rep, e1, x), apply(rep, e2, x)))
 
     nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else EXACT)
 
     for i, u in enumerate(idx.vertices):
         for v in idx.vertices[i:]:
-            product = fam.p[u] * fam.p[v]
-            target = fam.p[u] if u == v else nothing
-            w = first_witness(product, target)
-            if w is not None:
-                name = f"T1[{u}]" if u == v else f"T1[{u},{v}]"
-                failures.append(RelationFailure(name, w.render()))
+            name = f"T1[{u}]" if u == v else f"T1[{u},{v}]"
+            identity(name, fam.p[u] * fam.p[v], fam.p[u] if u == v else nothing)
 
     for e in idx.edges:
-        product = fam.s[e].adjoint() * fam.s[e]
-        w = first_witness(product, fam.p[idx.source_of(e)])
-        if w is not None:
-            failures.append(RelationFailure(f"T2[{e}]", w.render()))
+        identity(f"T2[{e}]", fam.s[e].adjoint() * fam.s[e], fam.p[idx.source_of(e)])
 
     receiving = [v for v in idx.vertices if idx.in_edges(v)]
     defects = {v: ck_defect(fam, v) for v in receiving}
 
     for v in receiving:
-        for x in basis:
-            out = apply(rep, defects[v], x)
-            if not out:
-                continue
-            if len(out) == 1 and x in out and exact.scalars_equal(out[x], exact.ONE):
-                continue
-            failures.append(RelationFailure(f"T3[{v}]", x.render()))
-            break
+        d = defects[v]
+
+        def not_projected(x):  # d.xi_x is neither 0 nor xi_x
+            out = apply(rep, d, x)
+            return bool(out) and not (list(out) == [x] and exact.scalars_equal(out[x], exact.ONE))
+
+        projection = canonical and operator_equal(rep, d, d.adjoint()) and operator_equal(rep, d * d, d)
+        check(f"T3[{v}]", projection, not_projected)
 
     if level in (CK, REDUCED, NORMALIZED):
         for v in receiving:
-            w = first_witness(defects[v], nothing)
-            if w is not None:
-                failures.append(RelationFailure(f"CK[{v}]", w.render()))
+            identity(f"CK[{v}]", defects[v], nothing)
 
     if level in (REDUCED, NORMALIZED):
         for cls in entrance_free_classes(idx):
             class_scalar = None
             for mu in cls.members:
-                witness, scalar = _scan_cycle_scalar(rep, fam, mu, basis)
+                witness, scalar = _cycle_scalar(rep, fam, mu, depth, canonical)
                 if witness is not None:
-                    failures.append(
-                        RelationFailure(f"R[{mu.render()}]", witness.render())
-                    )
-                    continue
-                if scalar is None:
-                    failures.append(
-                        RelationFailure(f"R[{mu.render()}]", "no test vector")
-                    )
-                    continue
-                if not exact.is_unit(scalar):
-                    failures.append(
-                        RelationFailure(
-                            f"R[{mu.render()}]", f"scalar {exact.render(scalar, polar)} is not a unit"
-                        )
-                    )
-                    continue
-                if level == NORMALIZED and not exact.scalars_equal(scalar, exact.ONE):
-                    failures.append(
-                        RelationFailure(
-                            f"R[{mu.render()}]", f"scalar {exact.render(scalar, polar)} is not 1"
-                        )
-                    )
-                    continue
-                if mu == cls.representative:
+                    problem = witness.render()
+                elif scalar is None:
+                    problem = "no test vector"
+                elif not exact.is_unit(scalar):
+                    problem = f"scalar {exact.render(scalar, polar)} is not a unit"
+                elif level == NORMALIZED and not exact.scalars_equal(scalar, exact.ONE):
+                    problem = f"scalar {exact.render(scalar, polar)} is not 1"
+                else:
+                    problem = None
+                if problem is not None:
+                    failures.append(RelationFailure(f"R[{mu.render()}]", problem))
+                elif mu == cls.representative:
                     class_scalar = scalar
             if class_scalar is not None:
                 kappa_found.append(
@@ -438,18 +441,16 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
 
 def extract_kappa(rep: Representation, depth: int | None = None):
     """The phase by which each entrance-free cycle isometry acts on its
-    periodic point; raises NotReducedError when the action is not scalar."""
+    periodic point, decided as in ``verify_relations``; raises
+    NotReducedError when the action is not scalar, naming the least witness
+    in the test set of ``depth`` (by default 1 + |mu| + |vertices|)."""
     g = rep.graph
     fam = canonical_family(g, rep.mode)
-    depths = {cls: depth if depth is not None else 1 + len(cls.representative) + len(g.vertices)
-              for cls in entrance_free_classes(g)}
-    if depths:  # the largest test set bounds the work of every class
-        check_work(rep, max(depths.values()))
     out = {}
-    for cls, d in depths.items():
+    for cls in entrance_free_classes(g):
         mu = cls.representative
-        basis = basis_elements(rep, d)
-        witness, scalar = _scan_cycle_scalar(rep, fam, mu, basis)
+        d = depth if depth is not None else 1 + len(mu) + len(g.vertices)
+        witness, scalar = _cycle_scalar(rep, fam, mu, d)
         if witness is not None or scalar is None:
             detail = witness.render() if witness is not None else "no test vector"
             raise NotReducedError(
@@ -477,95 +478,3 @@ def rescale_family(rep: Representation) -> Representation:
             kc_c = kc.value if isinstance(kc, Phase) else kc
             new_kappa[x] = ph_c * kc_c.conjugate()
     return twisted_boundary(rep.graph, new_kappa, rep.cutting_set)
-
-
-@lru_cache(maxsize=None)
-def _closers(g: Graph, efree_only: bool):
-    """Simple-cycle rotations usable to close a walk, keyed by range vertex."""
-    table: dict[str, list[Path]] = {}
-    if efree_only:
-        cycles = [cls.representative for cls in entrance_free_classes(g)]
-    else:
-        cycles = simple_cycles(g)
-    for cyc in cycles:
-        for rot in rotations(cyc):
-            table.setdefault(rot.range, []).append(rot)
-    return {v: tuple(rots) for v, rots in table.items()}
-
-
-@lru_cache(maxsize=None)
-def _exit_routes(g: Graph, efree_only: bool):
-    """Shortest edge sequence from each vertex to a source or closable vertex."""
-    targets = set(_closers(g, efree_only)) | set(sources(g))
-    routes: dict[str, tuple[str, ...]] = {}
-    for v in g.vertices:
-        if v in targets:
-            routes[v] = ()
-            continue
-        seen = {v}
-        queue = deque([(v, ())])
-        while queue:
-            u, trail = queue.popleft()
-            for e in g.in_edges(u):
-                w = g.source_of(e)
-                if w in seen:
-                    continue
-                seen.add(w)
-                extended = trail + (e,)
-                if w in targets:
-                    routes[v] = extended
-                    queue.clear()
-                    break
-                queue.append((w, extended))
-    return routes
-
-
-@lru_cache(maxsize=None)
-def _deep_walk_basis(g: Graph, kind: str, depth: int, walks: int, seed: int):
-    rng = random.Random(f"{seed}|{kind}|{g.fingerprint()}|{depth}|{walks}")
-    out = []
-    if kind == LEFT_REGULAR:
-        # every prefix of a walk is kept: a difference whose shortest beta is
-        # b acts nonzero on xi_b, which a walk passes through but rarely stops at
-        for _ in range(walks):
-            p = g.empty_path(rng.choice(g.vertices))
-            out.append(p)
-            target = rng.randint(0, depth)
-            while len(p) < target and g.in_edges(p.source):
-                p = p.concat(g.edge_path(rng.choice(g.in_edges(p.source))))
-                out.append(p)
-        return tuple(sorted(set(out), key=lambda p: (len(p), p.edges, p.vertices)))
-    efree_only = kind == OMEGA
-    closers = _closers(g, efree_only)
-    routes = _exit_routes(g, efree_only)
-    hard = depth + 2 * len(g.vertices) + max(_cycle_lengths(g), default=0) + 1
-    for _ in range(walks):
-        p = g.empty_path(rng.choice(g.vertices))
-        while True:
-            u = p.source
-            if len(p) >= depth and u in closers:
-                out.append(canonicalize(p, rng.choice(closers[u])))
-                break
-            if not g.in_edges(u):
-                out.append(BoundaryPath(p))
-                break
-            if len(p) >= hard:
-                for e in routes.get(u, ()):
-                    p = p.concat(g.edge_path(e))
-                u = p.source
-                if u in closers:
-                    out.append(canonicalize(p, closers[u][0]))
-                else:
-                    out.append(BoundaryPath(p))
-                break
-            p = p.concat(g.edge_path(rng.choice(g.in_edges(u))))
-    return tuple(sorted(set(out), key=BoundaryPath.sort_key))
-
-
-def deep_walk_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement,
-                    walks: int = DEEP_WALK_COUNT, seed: int = DEEP_WALK_SEED) -> bool:
-    """Randomized second route for operator equality: compare the two actions
-    on a seeded basis of deep random walks."""
-    depth = equality_depth(rep, a, b)
-    xs = _deep_walk_basis(rep.graph, basis_kind(rep), depth, walks, seed)
-    return all(combos_equal(apply(rep, a, x), apply(rep, b, x)) for x in xs)

@@ -31,7 +31,7 @@ from .cycles import (
     entrance_free_classes,
     is_cutting_set,
 )
-from .exact import EXACT, Phase, as_phase
+from .exact import EXACT, Cyclotomic, Phase, as_phase
 from .graph import Graph, GraphError, Path
 
 
@@ -115,6 +115,15 @@ def reduced_graph(g: Graph, cutting_set) -> ReducedGraph:
     )
 
 
+def rational_phase(value):
+    """``as_phase(value)``, refusing an exact unit of infinite order (such as
+    3/5+4/5i), which no rational turn names; complex units pass through."""
+    ph = as_phase(value)
+    if isinstance(ph, Cyclotomic):
+        raise GraphError(f"exact phase {ph!r} is a unit of infinite order, not a rational phase")
+    return ph
+
+
 def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
     """Normalize a phase assignment onto the entrance-free classes.
 
@@ -122,21 +131,21 @@ def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
     CycleClass, by canonical-rotation edge tuple, or by cutting-set edge.
     """
     classes = entrance_free_classes(g)
-    if isinstance(kappa, (Phase, int, Fraction, str)):
-        ph = as_phase(kappa)
+    if isinstance(kappa, (Phase, Cyclotomic, int, Fraction, str)):
+        ph = rational_phase(kappa)
         return {cls: ph for cls in classes}
     out: dict[CycleClass, Phase] = {}
     table = dict(kappa)
     for cls in classes:
         if cls in table:
-            out[cls] = as_phase(table[cls])
+            out[cls] = rational_phase(table[cls])
             continue
         if cls.representative.edges in table:
-            out[cls] = as_phase(table[cls.representative.edges])
+            out[cls] = rational_phase(table[cls.representative.edges])
             continue
         hits = [e for e in table if isinstance(e, str) and e in cls.edge_set]
         if len(hits) == 1:
-            out[cls] = as_phase(table[hits[0]])
+            out[cls] = rational_phase(table[hits[0]])
             continue
         raise GraphError(
             f"phase assignment misses class {cls.representative.render()}"
@@ -310,9 +319,9 @@ def rescale_generators(g: Graph, cutting_set, kappa) -> GeneratorRescaling:
     if not is_cutting_set(g, chosen):
         raise GraphError(f"{chosen} is not a cutting set")
     if isinstance(kappa, Mapping):
-        table = {x: as_phase(kappa[x]) for x in chosen}
+        table = {x: rational_phase(kappa[x]) for x in chosen}
     else:
-        constant = as_phase(kappa)
+        constant = rational_phase(kappa)
         table = {x: constant for x in chosen}
     edge_phases = {x: table[x].conjugate() for x in chosen}
     correspondence = GeneratorRescaling(

@@ -215,8 +215,8 @@ assert not any(omega_supported(g) for _, g in EXTRAS)
 
 
 # a 7-vertex, 16-edge graph whose depth-8 boundary test set has 79,257 vectors
-# (bench/digraph.py random_graph(random.Random(8), 7, 16)); it bounds the work
-# of verify at 937,376, above reps.WORK_BUDGET
+# (bench/digraph.py random_graph(random.Random(8), 7, 16)); a scan of that
+# test set bounds the work of verify at 937,376 paths x rotations
 BUDGET_GRAPH = "".join(f"vertex v{i}\n" for i in range(7)) + "".join(
     f"edge {e} : {s} -> {r}\n" for e, s, r in [
         ("e0", "v6", "v0"), ("e1", "v0", "v4"), ("e10", "v1", "v2"), ("e11", "v4", "v5"),
@@ -224,6 +224,16 @@ BUDGET_GRAPH = "".join(f"vertex v{i}\n" for i in range(7)) + "".join(
         ("e2", "v1", "v3"), ("e3", "v2", "v6"), ("e4", "v6", "v5"), ("e5", "v4", "v2"),
         ("e6", "v5", "v2"), ("e7", "v3", "v1"), ("e8", "v2", "v3"), ("e9", "v1", "v4"),
     ])
+
+
+def layered_graph(layers: int) -> Graph:
+    """Layers of two vertices, each feeding both vertices of the layer below,
+    into the sink ``a`` (the least id): acyclic, with about 2^k paths of length k."""
+    vs = ["a"] + [f"l{k:02d}{c}" for k in range(1, layers + 1) for c in "xy"]
+    edges = [(f"e01{c}a", f"l01{c}", "a") for c in "xy"]
+    for k in range(1, layers):
+        edges += [(f"e{k + 1:02d}{c}{d}", f"l{k + 1:02d}{c}", f"l{k:02d}{d}") for c in "xy" for d in "xy"]
+    return Graph(vs, edges)
 
 
 def random_graph(rng: random.Random, max_vertices: int = 8, density: float = 0.3) -> Graph:

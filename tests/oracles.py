@@ -4,15 +4,48 @@ Everything here is deliberately written from the raw graph accessors only
 (in_edges / source_of), with its own searches, so that agreement with the
 library is a genuine two-route check rather than a tautology.  The one
 exception is ``test_set_equal_oracle``, the operator-equality scan over the
-canonical test set that the closed-form Gaussian route replaced.
+canonical test set that the closed-form route replaced, together with the
+two other routes that production code no longer takes: ``deep_walk_equal``
+(seeded random walks) and ``verify_relations_oracle`` (the relation check by
+a scan of the whole test set).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from collections import deque
+from functools import lru_cache
 
-from graphck import Graph, apply, basis_elements
-from graphck.reps import combos_equal, equality_depth
+from graphck import (
+    BOUNDARY,
+    CK,
+    LEFT_REGULAR,
+    NORMALIZED,
+    OMEGA,
+    REDUCED,
+    AlgebraElement,
+    BoundaryPath,
+    Graph,
+    Phase,
+    RelationFailure,
+    RelationReport,
+    apply,
+    basis_elements,
+    canonical_family,
+    canonicalize,
+    ck_defect,
+    entrance_free_classes,
+    exact,
+    min_verification_depth,
+    rotations,
+    simple_cycles,
+    sources,
+)
+from graphck.reps import LEVELS, combos_equal
+
+DEEP_WALK_SEED = 101
+DEEP_WALK_COUNT = 200
 
 
 def _reaches(g: Graph, v: str) -> set[str]:
@@ -148,3 +181,203 @@ def test_set_equal_oracle(rep, a, b) -> bool:
 
 
 test_set_equal_oracle.__test__ = False  # an oracle, not a pytest test
+
+
+@lru_cache(maxsize=None)
+def _cycle_lengths(g: Graph) -> tuple[int, ...]:
+    return tuple(len(c) for c in simple_cycles(g))
+
+
+def equality_depth(rep, *elems: AlgebraElement) -> int:
+    """L + |vertices| + longest simple cycle, L the longest key of ``elems``."""
+    longest = max((e.max_key_length() for e in elems), default=0)
+    return longest + len(rep.graph.vertices) + max(_cycle_lengths(rep.graph), default=0)
+
+
+@lru_cache(maxsize=None)
+def _closers(g: Graph, efree_only: bool):
+    """Simple-cycle rotations usable to close a walk, keyed by range vertex."""
+    table: dict[str, list] = {}
+    if efree_only:
+        cycles = [cls.representative for cls in entrance_free_classes(g)]
+    else:
+        cycles = simple_cycles(g)
+    for cyc in cycles:
+        for rot in rotations(cyc):
+            table.setdefault(rot.range, []).append(rot)
+    return {v: tuple(rots) for v, rots in table.items()}
+
+
+@lru_cache(maxsize=None)
+def _exit_routes(g: Graph, efree_only: bool):
+    """Shortest edge sequence from each vertex to a source or closable vertex."""
+    targets = set(_closers(g, efree_only)) | set(sources(g))
+    routes: dict[str, tuple[str, ...]] = {}
+    for v in g.vertices:
+        if v in targets:
+            routes[v] = ()
+            continue
+        seen = {v}
+        queue = deque([(v, ())])
+        while queue:
+            u, trail = queue.popleft()
+            for e in g.in_edges(u):
+                w = g.source_of(e)
+                if w in seen:
+                    continue
+                seen.add(w)
+                extended = trail + (e,)
+                if w in targets:
+                    routes[v] = extended
+                    queue.clear()
+                    break
+                queue.append((w, extended))
+    return routes
+
+
+@lru_cache(maxsize=None)
+def _deep_walk_basis(g: Graph, kind: str, depth: int, walks: int, seed: int):
+    rng = random.Random(f"{seed}|{kind}|{g.fingerprint()}|{depth}|{walks}")
+    out = []
+    if kind == LEFT_REGULAR:
+        # every prefix of a walk is kept: a difference whose shortest beta is
+        # b acts nonzero on xi_b, which a walk passes through but rarely stops at
+        for _ in range(walks):
+            p = g.empty_path(rng.choice(g.vertices))
+            out.append(p)
+            target = rng.randint(0, depth)
+            while len(p) < target and g.in_edges(p.source):
+                p = p.concat(g.edge_path(rng.choice(g.in_edges(p.source))))
+                out.append(p)
+        return tuple(sorted(set(out), key=lambda p: (len(p), p.edges, p.vertices)))
+    efree_only = kind == OMEGA
+    closers = _closers(g, efree_only)
+    routes = _exit_routes(g, efree_only)
+    hard = depth + 2 * len(g.vertices) + max(_cycle_lengths(g), default=0) + 1
+    for _ in range(walks):
+        p = g.empty_path(rng.choice(g.vertices))
+        while True:
+            u = p.source
+            if len(p) >= depth and u in closers:
+                out.append(canonicalize(p, rng.choice(closers[u])))
+                break
+            if not g.in_edges(u):
+                out.append(BoundaryPath(p))
+                break
+            if len(p) >= hard:
+                for e in routes.get(u, ()):
+                    p = p.concat(g.edge_path(e))
+                u = p.source
+                if u in closers:
+                    out.append(canonicalize(p, closers[u][0]))
+                else:
+                    out.append(BoundaryPath(p))
+                break
+            p = p.concat(g.edge_path(rng.choice(g.in_edges(u))))
+    return tuple(sorted(set(out), key=BoundaryPath.sort_key))
+
+
+def deep_walk_equal(rep, a: AlgebraElement, b: AlgebraElement,
+                    walks: int = DEEP_WALK_COUNT, seed: int = DEEP_WALK_SEED) -> bool:
+    """Randomized second route for operator equality: compare the two actions
+    on a seeded basis of deep random walks."""
+    depth = equality_depth(rep, a, b)
+    kind = rep.kind if rep.kind in (LEFT_REGULAR, OMEGA) else BOUNDARY
+    xs = _deep_walk_basis(rep.graph, kind, depth, walks, seed)
+    return all(combos_equal(apply(rep, a, x), apply(rep, b, x)) for x in xs)
+
+
+def _scan_cycle_scalar(rep, fam, mu, basis):
+    """(witness, scalar): whether s_mu acts as one scalar on every basis
+    vector at r(mu); witness is None on success, scalar None on failure."""
+    elem = fam.s_path(mu)
+    scalar = None
+    for x in basis:
+        if x.range != mu.range:
+            continue
+        out = apply(rep, elem, x)
+        if len(out) != 1 or x not in out:
+            return x, None
+        k = out[x]
+        if scalar is None:
+            scalar = k
+        elif not exact.scalars_equal(k, scalar):
+            return x, None
+    return None, scalar
+
+
+def verify_relations_oracle(rep, level: str, depth: int | None = None, family=None) -> RelationReport:
+    """``verify_relations`` by applying every relation to every vector of the
+    test set of ``depth``, with no closed form and no work bound.
+    Exponential in the depth."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}")
+    fam = family if family is not None else canonical_family(rep.graph, rep.mode)
+    idx = fam.index
+    mind = min_verification_depth(idx, level)
+    if depth is None:
+        depth = mind + len(rep.graph.vertices)
+    if depth < mind:
+        raise ValueError(f"depth {depth} is below the required minimum {mind}")
+    basis = basis_elements(rep, depth)
+    polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
+    failures: list[RelationFailure] = []
+    kappa_found: list[tuple[str, str]] = []
+
+    def first_witness(e1, e2):
+        for x in basis:
+            if not combos_equal(apply(rep, e1, x), apply(rep, e2, x)):
+                return x
+        return None
+
+    nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else exact.EXACT)
+    for i, u in enumerate(idx.vertices):
+        for v in idx.vertices[i:]:
+            w = first_witness(fam.p[u] * fam.p[v], fam.p[u] if u == v else nothing)
+            if w is not None:
+                name = f"T1[{u}]" if u == v else f"T1[{u},{v}]"
+                failures.append(RelationFailure(name, w.render()))
+    for e in idx.edges:
+        w = first_witness(fam.s[e].adjoint() * fam.s[e], fam.p[idx.source_of(e)])
+        if w is not None:
+            failures.append(RelationFailure(f"T2[{e}]", w.render()))
+    receiving = [v for v in idx.vertices if idx.in_edges(v)]
+    defects = {v: ck_defect(fam, v) for v in receiving}
+    for v in receiving:
+        for x in basis:
+            out = apply(rep, defects[v], x)
+            if not out:
+                continue
+            if len(out) == 1 and x in out and exact.scalars_equal(out[x], exact.ONE):
+                continue
+            failures.append(RelationFailure(f"T3[{v}]", x.render()))
+            break
+    if level in (CK, REDUCED, NORMALIZED):
+        for v in receiving:
+            w = first_witness(defects[v], nothing)
+            if w is not None:
+                failures.append(RelationFailure(f"CK[{v}]", w.render()))
+    if level in (REDUCED, NORMALIZED):
+        for cls in entrance_free_classes(idx):
+            class_scalar = None
+            for mu in cls.members:
+                witness, scalar = _scan_cycle_scalar(rep, fam, mu, basis)
+                name = f"R[{mu.render()}]"
+                if witness is not None:
+                    failures.append(RelationFailure(name, witness.render()))
+                elif scalar is None:
+                    failures.append(RelationFailure(name, "no test vector"))
+                elif not exact.is_unit(scalar):
+                    failures.append(RelationFailure(name, f"scalar {exact.render(scalar, polar)} is not a unit"))
+                elif level == NORMALIZED and not exact.scalars_equal(scalar, exact.ONE):
+                    failures.append(RelationFailure(name, f"scalar {exact.render(scalar, polar)} is not 1"))
+                elif mu == cls.representative:
+                    class_scalar = scalar
+            if class_scalar is not None:
+                kappa_found.append((cls.representative.render(), exact.render(class_scalar, polar)))
+    return RelationReport(level=level, depth=depth, failures=tuple(failures), kappa=tuple(kappa_found))
+
+
+def report_tuple(report: RelationReport):
+    """A relation report as a comparable value."""
+    return report.level, report.depth, report.failures, report.kappa

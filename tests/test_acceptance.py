@@ -24,7 +24,6 @@ from graphck import (
     boundary_set,
     canonical_cutting_set,
     cutting_sets,
-    deep_walk_equal,
     diag_expectation,
     entrance_free_classes,
     enumerate_paths,
@@ -51,7 +50,7 @@ from graphck import (
 )
 from graphck import apply as rep_apply
 from corpus import CORPUS, g1_loop, kernel_elements, random_element, random_graphs
-from oracles import cofinal_oracle, test_set_equal_oracle
+from oracles import cofinal_oracle, deep_walk_equal, report_tuple, test_set_equal_oracle, verify_relations_oracle
 
 PAIRS_PER_GRAPH = 1000
 
@@ -128,19 +127,26 @@ def test_criterion_4_tail_catalog_of_doubled_loop():
     _finish(4, "doubled-loop tail catalog (one circle, one dense point)", started, 1.0)
 
 
+def _verified(rep, level):
+    """The closed-form report, checked against a scan of the whole test set."""
+    report = verify_relations(rep, level)
+    assert report_tuple(report) == report_tuple(verify_relations_oracle(rep, level)), (rep, level)
+    return report
+
+
 def test_criterion_5_relation_matrix():
     started = time.perf_counter()
     rng = random.Random(404)
     for name, g in CORPUS:
         lrep = left_regular(g)
-        assert verify_relations(lrep, TCK).passed, name
-        report = verify_relations(lrep, CK)
+        assert _verified(lrep, TCK).passed, name
+        report = _verified(lrep, CK)
         receiving = {v for v in g.vertices if g.in_edges(v)}
         assert {f.relation for f in report.failures} == {
             f"CK[{v}]" for v in receiving
         }, name
-        assert verify_relations(boundary(g), NORMALIZED).passed, name
-        assert verify_relations(omega(g), NORMALIZED).passed, name
+        assert _verified(boundary(g), NORMALIZED).passed, name
+        assert _verified(omega(g), NORMALIZED).passed, name
         cut = canonical_cutting_set(g)
         if cut:
             kappa = {
@@ -148,7 +154,7 @@ def test_criterion_5_relation_matrix():
                 for x in cut
             }
             trep = twisted_boundary(g, kappa)
-            assert verify_relations(trep, REDUCED).passed, name
+            assert _verified(trep, REDUCED).passed, name
             extracted = extract_kappa(trep)
             for cls, phase in extracted.items():
                 (x,) = set(cut) & cls.edge_set
@@ -169,8 +175,10 @@ def test_criterion_6_couniversal_detwisting():
             x: Phase(Fraction(rng.randint(0, 11), rng.randint(1, 12)))
             for x in canonical_cutting_set(g)
         }
-        rescaled = rescale_family(twisted_boundary(g, kappa))
-        assert verify_relations(rescaled, NORMALIZED).passed, (name, kappa)
+        trep = twisted_boundary(g, kappa)
+        assert _verified(trep, REDUCED).passed, (name, kappa)
+        rescaled = rescale_family(trep)
+        assert _verified(rescaled, NORMALIZED).passed, (name, kappa)
         for phase in extract_kappa(rescaled).values():
             assert phase == Phase(0), (name, kappa)
         runs += 1

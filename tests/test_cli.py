@@ -7,7 +7,7 @@ import pytest
 from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
 from graphck.cli import main
 from graphck.graph import cyclic_components
-from corpus import BUDGET_GRAPH, g1_loop, g2_cyc2, g3_ent, g4_line
+from corpus import BUDGET_GRAPH, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph
 
 
 @pytest.fixture
@@ -244,17 +244,32 @@ def test_pretty_mode_runs(files, capsys):
     assert "command : analyze" in out
 
 
-def test_verify_work_budget_exits_2(capsys, tmp_path):
-    path = tmp_path / "dense.graph"
-    path.write_text(BUDGET_GRAPH)
-    started = time.perf_counter()
-    code, out, err = _run(capsys, ["verify", str(path), "--rep=boundary", "--level=ck"])
-    assert time.perf_counter() - started < 2.0
+def test_verify_decides_graphs_above_the_old_budget(capsys, tmp_path):
+    """Graphs whose full test set is far above WORK_BUDGET: passing relations
+    build no test set, and failing ones stop at their least witness."""
+    dense = tmp_path / "dense.graph"
+    dense.write_text(BUDGET_GRAPH)
+    layered = tmp_path / "layered.graph"
+    layered.write_text(layered_graph(18).to_text())
+    for path in (dense, layered):
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["verify", str(path), "--rep=boundary", "--level=ck"])
+        assert time.perf_counter() - started < 2.0
+        assert code == 0 and err == "" and json.loads(out)["result"]["pass"] is True
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["verify", str(path), "--rep=left-regular", "--level=ck"])
+        assert time.perf_counter() - started < 2.0
+        failures = json.loads(out)["result"]["failures"]
+        assert code == 1 and err == ""
+        assert all(f["witness"] == "@" + f["relation"][3:-1] for f in failures)
+        assert len(failures) == {dense: 7, layered: 35}[path]  # one per receiving vertex
+
+
+@pytest.mark.parametrize("literal", ["1/0", "1@1/0"])
+def test_zero_denominator_literal_exits_2(files, capsys, literal):
+    code, out, err = _run(capsys, ["expect", files["g1"], f"--element={literal} * p[v]"])
     assert code == 2 and out == ""
-    assert "10652 paths x (1 + 87 rotations) = 937376" in err and "200000" in err
-    # a shallower test set fits the budget
-    code, _, _ = _run(capsys, ["verify", str(path), "--rep=boundary", "--level=ck", "--depth=2"])
-    assert code == 0
+    assert "zero denominator" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,level", [

@@ -18,7 +18,6 @@ from graphck import (
     canonical_cutting_set,
     canonical_family,
     ck_defect,
-    deep_walk_equal,
     enumerate_paths,
     left_regular,
     omega,
@@ -31,7 +30,7 @@ from graphck import (
 )
 from graphck import reps
 from corpus import CORPUS, g2_cyc2, g3_ent, g4_line, kernel_elements
-from oracles import test_set_equal_oracle
+from oracles import deep_walk_equal, test_set_equal_oracle
 
 
 def _s(g, *edges):
@@ -111,7 +110,6 @@ def test_gaussian_route_builds_no_test_set(monkeypatch):
         raise AssertionError("operator_equal scanned a test set")
 
     monkeypatch.setattr(reps, "basis_elements", refuse)
-    monkeypatch.setattr(reps, "equality_depth", refuse)
     g, g2 = g3_ent(), g2_cyc2()
     ck = _range_projection(g, "e2") + _range_projection(g, "f")
     for rep in (boundary(g), omega(g)):

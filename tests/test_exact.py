@@ -124,6 +124,12 @@ def test_as_phase():
     assert exact.as_phase(unit) is unit
 
 
+def test_repr_names_the_value():
+    assert repr(GaussianRational(Fraction(3, 5), Fraction(4, 5))) == "<Cyclotomic (3/5+4/5i)>"
+    assert repr(PolarCoeff(2, Fraction(1, 3))) == "<Cyclotomic 2@1/3>"
+    assert repr(exact.rational(Fraction(-1, 2))) == "<Cyclotomic -1/2>"
+
+
 # ------------------------------------------------------- the cyclotomic type
 
 

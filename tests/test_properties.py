@@ -24,9 +24,24 @@ from graphck import (
     simple_cycles,
     w_normal_form,
 )
+from graphck import (
+    Phase,
+    basis_elements,
+    boundary,
+    canonical_cutting_set,
+    left_regular,
+    min_verification_depth,
+    omega,
+    omega_supported,
+    toeplitz_family,
+    toeplitz_graph,
+    twisted_boundary,
+    verify_relations,
+)
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
-from oracles import cofinal_oracle, maximal_tails_oracle, tail_triples
+from graphck.reps import LEVELS, _test_vectors
+from oracles import cofinal_oracle, maximal_tails_oracle, report_tuple, tail_triples, verify_relations_oracle
 
 
 @st.composite
@@ -203,3 +218,38 @@ def test_maximal_tails_match_oracle(g):
 @given(graphs())
 def test_text_round_trip(g):
     assert parse_graph(g.to_text()) == g
+
+
+def _reps(g, turn):
+    out = [left_regular(g), boundary(g)]
+    if omega_supported(g):
+        out.append(omega(g))
+    out.append(twisted_boundary(g, {x: Phase(turn) for x in canonical_cutting_set(g)}))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_edges=7), st.integers(0, 11), st.integers(0, 4))
+def test_lazy_test_vectors_match_the_test_set(g, k, depth):
+    for rep in _reps(g, Fraction(k, 12)):
+        assert list(_test_vectors(rep, depth)) == list(basis_elements(rep, depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_edges=7), st.integers(0, 11), st.sampled_from([None, 0, 1, 2]))
+def test_verify_relations_matches_the_scan(g, k, extra):
+    """Closed-form decisions plus the lazy witness search report exactly what
+    a scan of the whole test set reports, at the default depth and at
+    shallow ones (where a failing relation may have no witness yet)."""
+    for rep in _reps(g, Fraction(k, 12)):
+        for level in LEVELS:
+            depth = None if extra is None else min_verification_depth(g, level) + extra
+            assert report_tuple(verify_relations(rep, level, depth)) == report_tuple(
+                verify_relations_oracle(rep, level, depth)), (rep.kind, level)
+    tg = toeplitz_graph(g)
+    fam = toeplitz_family(tg)
+    for rep in (left_regular(tg.graph), boundary(tg.graph)):
+        for level in LEVELS:
+            depth = min_verification_depth(g, level) + (extra or 0)
+            assert report_tuple(verify_relations(rep, level, depth, fam)) == report_tuple(
+                verify_relations_oracle(rep, level, depth, fam)), (rep.kind, level)

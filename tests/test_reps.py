@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from graphck import (
     canonical_cutting_set,
     canonical_family,
     canonicalize,
-    deep_walk_equal,
     diag_expectation,
     entrance_free_classes,
     enumerate_paths,
@@ -41,14 +41,17 @@ from graphck import (
     paths_up_to,
     prepend,
     rescale_family,
+    toeplitz_family,
+    toeplitz_graph,
     twisted_boundary,
     verify_relations,
     vertex_projection,
     w_paths,
     zero,
 )
-from graphck import exact, is_cofinal
-from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, random_element
+from graphck import exact, is_cofinal, reps
+from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, layered_graph, random_element
+from oracles import deep_walk_equal
 
 
 def _omega_graphs(limit=None):
@@ -160,11 +163,55 @@ def test_twisted_reduced_and_extract_kappa():
     assert extract_kappa(twisted_boundary(g3_ent(), {})) == {}
 
 
-def test_extract_kappa_refuses_work_over_budget():
+def test_extract_kappa_decides_graphs_above_the_old_budget():
     g = parse_graph(BUDGET_GRAPH + "vertex w\nedge lw : w -> w\n")
-    with pytest.raises(WorkBudgetError, match="depth-10 test set"):
-        extract_kappa(boundary(g))
+    started = time.perf_counter()
+    assert list(extract_kappa(boundary(g)).values()) == [Phase(0)]
     assert list(extract_kappa(boundary(g), depth=2).values()) == [Phase(0)]
+    trep = twisted_boundary(g, {"lw": Phase(Fraction(1, 6))})
+    assert list(extract_kappa(trep).values()) == [Phase(Fraction(1, 6))]
+    assert time.perf_counter() - started < 2.0
+
+
+def test_witness_search_stops_at_the_least_witness(monkeypatch):
+    """The left-regular CK witnesses are the empty paths, the first layer of
+    the test set, so the search generates nothing past it; a search that
+    needs more than WORK_BUDGET paths and vectors is refused."""
+    g = layered_graph(18)
+    n = len(g.vertices)
+    monkeypatch.setattr(reps, "WORK_BUDGET", n)
+    report = verify_relations(left_regular(g), CK)
+    assert [f.witness for f in report.failures] == [f"@{v}" for v in g.vertices if g.in_edges(v)]
+    monkeypatch.setattr(reps, "WORK_BUDGET", n - 1)
+    with pytest.raises(WorkBudgetError, match=f"more than {n - 1} paths"):
+        verify_relations(left_regular(g), CK)
+    # a custom family scans the whole test set for T3, even when it holds
+    tg = toeplitz_graph(g1_loop())
+    monkeypatch.setattr(reps, "WORK_BUDGET", 1000)
+    with pytest.raises(WorkBudgetError, match="depth-2000"):
+        verify_relations(left_regular(tg.graph), TCK, depth=2000, family=toeplitz_family(tg))
+    # the budget bounds only the witness search: passing relations build nothing
+    monkeypatch.setattr(reps, "WORK_BUDGET", 0)
+    assert verify_relations(boundary(g), CK).passed
+    assert verify_relations(left_regular(g), TCK).passed
+
+
+def test_passing_reports_build_no_test_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing report built a test set")
+
+    for name in ("basis_elements", "boundary_set", "omega_set", "_test_vectors"):
+        monkeypatch.setattr(reps, name, refuse)
+    rng = random.Random(12)
+    for name, g in CORPUS:
+        assert verify_relations(boundary(g), NORMALIZED).passed, name
+        assert verify_relations(omega(g), NORMALIZED).passed, name
+        cut = canonical_cutting_set(g)
+        kappa = {x: Phase(Fraction(rng.randrange(12), 12)) for x in cut}
+        trep = twisted_boundary(g, kappa)
+        assert verify_relations(trep, REDUCED).passed, name
+        assert verify_relations(rescale_family(trep), NORMALIZED).passed, name
+        assert len(extract_kappa(trep)) == len(cut), name
 
 
 def test_extract_kappa_rejects_left_regular():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphck import (
+    GaussianRational,
     GraphError,
     Phase,
     boundary,
@@ -93,6 +94,23 @@ def test_class_phases_forms():
     assert by_rep[cls] == Phase(Fraction(1, 5))
     with pytest.raises(GraphError, match="misses"):
         class_phases(g2, {})
+    assert class_phases(g2, GaussianRational(0, 1))[cls] == Phase(Fraction(1, 4))
+
+
+def test_infinite_order_units_are_refused_at_the_call():
+    g1 = g1_loop()
+    unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    message = r"\(3/5\+4/5i\)> is a unit of infinite order"
+    with pytest.raises(GraphError, match=message):
+        rescale_generators(g1, ["e"], {"e": unit})
+    with pytest.raises(GraphError, match=message):
+        rescale_generators(g1, ["e"], unit)
+    with pytest.raises(GraphError, match=message):
+        class_phases(g1, {"e": unit})
+    with pytest.raises(GraphError, match=message):
+        class_phases(g1, unit)
+    with pytest.raises(GraphError, match=message):
+        twisted_boundary(g1, {"e": unit})
 
 
 def test_ikappa_generators_examples():
