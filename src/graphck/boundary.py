@@ -12,7 +12,10 @@ a boundary path of a finite graph is realized by a finite or eventually
 periodic member of ``boundary_set``, and all operators in scope rewrite
 bounded prefixes only, so these test sets decide operator equality.  The
 omega variant keeps only entrance-free periods; ``omega_supported`` reports
-whether that restricted basis still reaches every vertex.
+whether that restricted basis still reaches every vertex.  A vertex that
+misses one of the graph's bottoms (``graph.bottoms``) witnesses
+non-cofinality together with the boundary path ending there: the source
+itself, or the periodic point of the component's cycle.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cycles import entrance_free_classes, rotations, simple_cycles
+from .cycles import component_cycle, entrance_free_classes, rotations, simple_cycles
 from .graph import (
     Graph,
     GraphError,
     Path,
-    cyclic_components,
+    bottoms,
     enumerate_paths,
     path_key,
     reach_map,
@@ -214,25 +217,17 @@ def omega_supported(g: Graph) -> bool:
 
 def noncofinal_witness(g: Graph) -> tuple[str, BoundaryPath] | None:
     """A pair (v, x) with no path from any x(n) to v when the graph is not
-    cofinal; None otherwise."""
+    cofinal; None otherwise.  v is the first vertex missing a bottom, and x
+    ends in the first bottom it misses."""
     rm = reach_map(g)
+    ends = bottoms(g)
     for v in g.vertices:
-        for w in sources(g):
-            if w not in rm[v]:
+        for b in ends:
+            if b & rm[v]:
+                continue
+            w = min(b)
+            if not g.in_edges(w):
                 return v, BoundaryPath(g.empty_path(w))
-        for comp in cyclic_components(g):
-            if not (comp & rm[v]):
-                return v, _periodic_point(g, comp)
+            cyc = component_cycle(g, b)
+            return v, BoundaryPath(g.empty_path(cyc.range), cyc)
     return None
-
-
-def _periodic_point(g: Graph, comp: frozenset[str]) -> BoundaryPath:
-    """The boundary path around a cycle of a cyclic component: chase in-edges
-    whose source stays in the component until a vertex repeats."""
-    seen, edges, u = [], [], min(comp)
-    while u not in seen:
-        seen.append(u)
-        edges.append(next(e for e in g.in_edges(u) if g.source_of(e) in comp))
-        u = g.source_of(edges[-1])
-    cyc = g.path(edges[seen.index(u):])
-    return BoundaryPath(g.empty_path(cyc.range), cyc)

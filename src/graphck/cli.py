@@ -13,12 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import diag_expectation, element_w_normal_form
-from .cycles import (
-    CycleCountError,
-    canonical_cutting_set,
-    entrance_free_classes,
-    simple_cycles,
-)
+from .cycles import canonical_cutting_set, entrance_free_classes, simple_cycles
 from .exact import ExactnessError, Phase, from_phase
 from .expr import ExprError, parse_element
 from .graph import GraphError, is_cofinal, parse_graph, sources
@@ -300,7 +295,6 @@ def main(argv=None) -> int:
         GraphError,
         ExprError,
         ExactnessError,
-        CycleCountError,
         ValueError,
         OSError,
     ) as err:

@@ -4,6 +4,12 @@ A cycle is a path mu with range(mu) == source(mu) whose edge sources are
 pairwise distinct.  Its class [mu] collects all cyclic rotations; the class
 is entrance-free when every edge pointing at a cycle vertex is itself a cycle
 edge.  A cutting set picks exactly one edge from each entrance-free class.
+
+Every cycle lies inside one cyclic strongly connected component, so the cycle
+structure is read from those components: ``component_cycle`` picks one cycle
+of a component, an entrance-free cycle is a whole component in which every
+vertex receives exactly one edge, and ``simple_cycles`` searches each
+component on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import Graph, GraphError, Path, path_key
+from .graph import Graph, GraphError, Path, cyclic_components, path_key
 
 
 class CycleCountError(GraphError):
@@ -73,32 +79,50 @@ def cycle_class(cycle: Path) -> CycleClass:
     )
 
 
-def simple_cycles(g: Graph, guard: int = CYCLE_GUARD) -> list[Path]:
-    """All simple cycles, one canonical rotation each, deterministic order.
+@lru_cache(maxsize=None)
+def simple_cycles(g: Graph) -> tuple[Path, ...]:
+    """All simple cycles, one canonical rotation each, in ``path_key`` order.
 
-    DFS rooted at each vertex in id order, extending only through strictly
-    larger vertices, so every cycle is discovered exactly once at its least
-    vertex.  Counts above ``guard`` abort with CycleCountError.
+    Within each cyclic component, a DFS rooted at each vertex extends only
+    through strictly larger vertices of that component, so every cycle is
+    discovered exactly once at its least vertex and no path leaves the
+    component it started in.  Counts above ``CYCLE_GUARD`` abort with
+    CycleCountError.
     """
     found: list[Path] = []
-    for root in g.vertices:
-        # stack entries: (edges so far, current source vertex, blocked vertices)
-        stack: list[tuple[tuple[str, ...], str, frozenset[str]]] = [
-            ((), root, frozenset({root}))
-        ]
-        while stack:
-            edges, cur, blocked = stack.pop()
-            for e in g.in_edges(cur):
-                w = g.source_of(e)
-                if w == root:
-                    found.append(canonical_rotation(g.path(edges + (e,))))
-                    if len(found) > guard:
-                        raise CycleCountError(
-                            f"more than {guard} simple cycles; aborting"
-                        )
-                elif w > root and w not in blocked:
-                    stack.append((edges + (e,), w, blocked | {w}))
-    return sorted(found, key=path_key)
+    for comp in cyclic_components(g):
+        for root in sorted(comp):
+            # stack entries: (edges so far, current source vertex, blocked vertices)
+            stack: list[tuple[tuple[str, ...], str, frozenset[str]]] = [
+                ((), root, frozenset({root}))
+            ]
+            while stack:
+                edges, cur, blocked = stack.pop()
+                for e in g.in_edges(cur):
+                    w = g.source_of(e)
+                    if w == root:
+                        found.append(canonical_rotation(g.path(edges + (e,))))
+                        if len(found) > CYCLE_GUARD:
+                            raise CycleCountError(
+                                f"more than {CYCLE_GUARD} simple cycles; aborting"
+                            )
+                    elif w > root and w in comp and w not in blocked:
+                        stack.append((edges + (e,), w, blocked | {w}))
+    return tuple(sorted(found, key=path_key))
+
+
+def component_cycle(g: Graph, comp: frozenset[str]) -> Path:
+    """One cycle of the cyclic component ``comp``: from its least vertex,
+    follow the first in-edge whose source stays in ``comp`` until a vertex
+    repeats."""
+    pos: dict[str, int] = {}
+    edges: list[str] = []
+    u = min(comp)
+    while u not in pos:
+        pos[u] = len(edges)
+        edges.append(next(e for e in g.in_edges(u) if g.source_of(e) in comp))
+        u = g.source_of(edges[-1])
+    return g.path(edges[pos[u]:])
 
 
 def has_entrance_in(g: Graph, cycle: Path, vertex_set) -> bool:
@@ -121,33 +145,18 @@ def has_entrance_in(g: Graph, cycle: Path, vertex_set) -> bool:
 def entrance_free_classes(g: Graph) -> tuple[CycleClass, ...]:
     """The classes of cycles with no entrance anywhere in the graph.
 
-    A cycle is entrance-free iff each of its vertices receives exactly its
-    one cycle edge, so the classes are found by chasing unique in-edges; no
-    full cycle enumeration is needed.
+    A cyclic component in which every vertex receives exactly one edge is
+    one cycle with no entrance, and an entrance-free cycle is its own
+    component (nothing outside it reaches it), so no cycle enumeration is
+    needed.
     """
-    classes: dict[tuple[str, ...], CycleClass] = {}
-    visited: set[str] = set()
-    for v in g.vertices:
-        if v in visited:
-            continue
-        trail: list[str] = []
-        pos: dict[str, int] = {}
-        cur = v
-        while (
-            cur not in pos
-            and cur not in visited
-            and len(g.in_edges(cur)) == 1
-        ):
-            pos[cur] = len(trail)
-            trail.append(g.in_edges(cur)[0])
-            cur = g.source_of(trail[-1])
-        visited.update(pos)
-        if cur in pos:
-            cyc = g.path(trail[pos[cur]:])
-            cls = cycle_class(cyc)
-            classes.setdefault(cls.representative.edges, cls)
+    classes = [
+        cycle_class(component_cycle(g, comp))
+        for comp in cyclic_components(g)
+        if all(len(g.in_edges(v)) == 1 for v in comp)
+    ]
     return tuple(
-        classes[k] for k in sorted(classes, key=lambda edges: (len(edges), edges))
+        sorted(classes, key=lambda c: (len(c.representative.edges), c.representative.edges))
     )
 
 

@@ -398,21 +398,19 @@ def cyclic_components(g: Graph) -> tuple[frozenset[str], ...]:
     return tuple(out)
 
 
+def bottoms(g: Graph) -> tuple[frozenset[str], ...]:
+    """Where boundary paths end: each source as a singleton, then each cyclic
+    component (an infinite path eventually stays inside one of them)."""
+    return tuple(frozenset({s}) for s in sources(g)) + cyclic_components(g)
+
+
 def is_cofinal(g: Graph) -> bool:
     """Whether every vertex eventually meets every boundary path.
 
-    For finite graphs this holds iff each vertex v satisfies: every source
-    lies in reach(v), and reach(v) meets every strongly connected component
-    that carries a cycle (an infinite path eventually stays inside one such
-    component and visits a strongly connected vertex set there).
+    For finite graphs this holds iff reach(v) meets every bottom for each
+    vertex v: a boundary path ending at a source or inside a cyclic
+    component visits a strongly connected vertex set there.
     """
     rm = reach_map(g)
-    srcs = sources(g)
-    cyc = cyclic_components(g)
-    for v in g.vertices:
-        reach = rm[v]
-        if any(w not in reach for w in srcs):
-            return False
-        if any(not (comp & reach) for comp in cyc):
-            return False
-    return True
+    ends = bottoms(g)
+    return all(b & rm[v] for v in g.vertices for b in ends)

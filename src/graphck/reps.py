@@ -308,25 +308,26 @@ def _least_witness(rep: Representation, depth: int, fails):
 
 def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int,
                   closed_form: bool = True):
-    """Whether s_mu acts as one scalar on the test vectors at r(mu).
+    """Whether s_mu acts as one scalar on the test vectors x that the
+    family's p_{r(mu)} fixes (on the canonical family, those with range r(mu)).
 
     Returns (witness, scalar): (None, c) on success, (x, None) for the least
     vector x where s_mu is not the scalar it takes on the first, and
-    (None, None) when no vector sits at r(mu).  On the boundary kinds of the
+    (None, None) when p_{r(mu)} fixes no vector.  On the boundary kinds of the
     canonical family the first such vector is the periodic point mu^inf
     (r(mu) lies on an entrance-free cycle, so no finite path and no other
     period reaches it); c is read there and s_mu = c p_{r(mu)} is decided by
     ``operator_equal``, so only a failure scans.
     """
-    elem = fam.s_path(mu)
+    elem, at_range = fam.s_path(mu), fam.p[mu.range]
     if closed_form and rep.kind != LEFT_REGULAR:
         x = BoundaryPath(rep.graph.empty_path(mu.range), mu)
         out = apply(rep, elem, x)
-        if list(out) == [x] and operator_equal(rep, elem, fam.p[mu.range].scaled(out[x])):
+        if list(out) == [x] and operator_equal(rep, elem, at_range.scaled(out[x])):
             return None, out[x]
     scalar = None
     for x in _test_vectors(rep, depth):
-        if x.range != mu.range:
+        if not combos_equal(apply(rep, at_range, x), {x: exact.ONE}):
             continue
         out = apply(rep, elem, x)
         if len(out) != 1 or x not in out:

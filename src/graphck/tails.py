@@ -8,23 +8,24 @@ otherwise; the catalog lists one symbolic primitive-ideal descriptor per
 tail, with a free circle parameter z on the circle-type ones.
 
 On a finite graph the maximal tails correspond one-to-one to the *bottoms* a
-boundary path can end in: the sources of the graph and the strongly
-connected components that carry a cycle.  The tail of a bottom B is the set
-of vertices B reaches, ``{v : reach_map(g)[v] & B}``.  It is circle-type
-exactly when B carries exactly |B| internal edges: B is then the vertex set
-of one cycle, and no edge from inside the tail enters it.  Any other cycle in
-the tail has an entrance there.  See Bates, Hong, Raeburn and Szymanski, The
-ideal structure of the C*-algebras of infinite graphs, Illinois J. Math. 46
-(2002), and Hong and Szymanski, The primitive ideal space of the C*-algebras
-of infinite graphs, J. Math. Soc. Japan 56 (2004).
+boundary path can end in (``graph.bottoms``): the sources of the graph and
+the strongly connected components that carry a cycle.  The tail of a bottom
+B is the set of vertices B reaches, ``{v : reach_map(g)[v] & B}``.  It is
+circle-type exactly when B carries exactly |B| internal edges: B is then the
+vertex set of one cycle (``cycles.component_cycle``), and no edge from inside
+the tail enters it.  Any other cycle in the tail has an entrance there.  See
+Bates, Hong, Raeburn and Szymanski, The ideal structure of the C*-algebras of
+infinite graphs, Illinois J. Math. 46 (2002), and Hong and Szymanski, The
+primitive ideal space of the C*-algebras of infinite graphs, J. Math. Soc.
+Japan 56 (2004).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import CycleClass, cycle_class
-from .graph import Graph, GraphError, cyclic_components, reach_map, sources
+from .cycles import CycleClass, component_cycle, cycle_class, entrance_free_classes
+from .graph import Graph, GraphError, bottoms, reach_map
 from .transform import ToeplitzGraph
 
 GAMMA = "gamma"
@@ -82,20 +83,14 @@ def _tail_of_bottom(g: Graph, bottom: frozenset[str]) -> MaximalTail:
     if len(internal) != len(bottom):  # a source, or a component with a branch
         return MaximalTail(members, GAMMA)
     # every vertex of the bottom receives exactly one internal edge
-    into = {g.range_of(e): e for e in internal}
-    start = min(bottom)
-    edges = [into[start]]
-    while g.source_of(edges[-1]) != start:
-        edges.append(into[g.source_of(edges[-1])])
-    return MaximalTail(members, TAU, cycle_class(g.path(edges)))
+    return MaximalTail(members, TAU, cycle_class(component_cycle(g, bottom)))
 
 
 def maximal_tails(g: Graph) -> list[MaximalTail]:
     """All maximal tails, classified, in deterministic order: one per source
     and one per cyclic strongly connected component."""
-    bottoms = [frozenset({s}) for s in sources(g)] + list(cyclic_components(g))
     return sorted(
-        (_tail_of_bottom(g, b) for b in bottoms), key=MaximalTail.sort_key
+        (_tail_of_bottom(g, b) for b in bottoms(g)), key=MaximalTail.sort_key
     )
 
 
@@ -112,8 +107,6 @@ def tail_of_class(tg: ToeplitzGraph, cls: CycleClass) -> MaximalTail:
     """The circle-type tail of the doubled graph attached to an entrance-free
     class of the base: the alpha copies of the vertices reaching the cycle."""
     base = tg.base
-    from .cycles import entrance_free_classes
-
     if cls.representative.edges not in {
         c.representative.edges for c in entrance_free_classes(base)
     }:

@@ -42,10 +42,32 @@ from graphck import (
     simple_cycles,
     sources,
 )
+from graphck.graph import path_key
 from graphck.reps import LEVELS, combos_equal
 
 DEEP_WALK_SEED = 101
 DEEP_WALK_COUNT = 200
+
+
+def simple_cycles_oracle(g: Graph) -> list:
+    """Every simple cycle as its least rotation by edge ids, in ``path_key``
+    order.  DFS rooted at each vertex over every simple path through strictly
+    larger vertices, with no restriction to a strongly connected component,
+    so it walks all simple paths upstream of each root even on acyclic
+    graphs."""
+    found = []
+    for root in g.vertices:
+        stack = [((), root, frozenset({root}))]
+        while stack:
+            edges, cur, blocked = stack.pop()
+            for e in g.in_edges(cur):
+                w = g.source_of(e)
+                if w == root:
+                    cyc = edges + (e,)
+                    found.append(g.path(min(cyc[k:] + cyc[:k] for k in range(len(cyc)))))
+                elif w > root and w not in blocked:
+                    stack.append((edges + (e,), w, blocked | {w}))
+    return sorted(found, key=path_key)
 
 
 def _reaches(g: Graph, v: str) -> set[str]:
@@ -289,11 +311,13 @@ def deep_walk_equal(rep, a: AlgebraElement, b: AlgebraElement,
 
 def _scan_cycle_scalar(rep, fam, mu, basis):
     """(witness, scalar): whether s_mu acts as one scalar on every basis
-    vector at r(mu); witness is None on success, scalar None on failure."""
+    vector that the family's p_{r(mu)} fixes; witness is None on success,
+    scalar None on failure."""
     elem = fam.s_path(mu)
+    at_range = fam.p[mu.range]
     scalar = None
     for x in basis:
-        if x.range != mu.range:
+        if not combos_equal(apply(rep, at_range, x), {x: exact.ONE}):
             continue
         out = apply(rep, elem, x)
         if len(out) != 1 or x not in out:

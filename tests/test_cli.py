@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import random
 import time
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
 from graphck.cli import main
@@ -303,3 +306,65 @@ def test_expect_sums_two_directions(capsys, tmp_path):
     assert result["wNormalForm"] == result["expectation"] == "-(1-1@1/6-1@1/4) * p[a]"
     g = parse_graph(path.read_text())
     assert parse_element(g, result["wNormalForm"]) == element_w_normal_form(g, parse_element(g, text))
+
+
+ELEMENT_TOKENS = ("p[v0]", "p[v1]", "p[q]", "s[e0]", "s*[e0]", "s[e0 e1]", "s*[e1]", "s[]",
+                  "1", "2/3", "1/0", "0", "i", "@", "1@1/3", "1@1/0", "2@-1/4",
+                  "*", "+", "-", "(", ")", " ", "x")
+COEFFS = ("1", "2/3", "i", "1@1/3", "(1+i)", "(1-1@1/6)", "1/0")
+MONOMIALS = ("p[v0]", "p[v1]", "s[e0]", "s*[e0]", "s[e0] * s*[e0]", "s[e1 e0]")
+KAPPA_ENTRIES = ("e0:1/4", "e1:1/3", "e0:0", "e0:1/0", "e0:2/7", "q:1/2", "e0", ":", "e0:abc", "")
+BAD_LINES = ("vertex", "vertex v0", "vertex bad!id", "edge x : v0 -> q", "edge e0 : v0 -> v0", "bogus")
+
+
+@st.composite
+def graph_texts(draw):
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    lines = [f"vertex {v}" for v in vs]
+    for k in range(draw(st.integers(0, 6))):
+        lines.append(f"edge e{k} : {draw(st.sampled_from(vs))} -> {draw(st.sampled_from(vs))}")
+    if draw(st.sampled_from([False, False, False, True])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def command_args(draw, command):
+    """Options for ``command`` that argparse accepts, with values that may not
+    make sense for the graph."""
+    if command == "transform":
+        if draw(st.booleans()):
+            return ["--toeplitz"]
+        cut = draw(st.lists(st.sampled_from(["e0", "e1", "e2", "q", ""]), max_size=2))
+        return ["--reduce"] + ([f"--cutting-set={','.join(cut)}"] if cut else [])
+    if command == "tails":
+        return ["--toeplitz-of"] if draw(st.booleans()) else []
+    if command == "verify":
+        rep = draw(st.sampled_from(["left-regular", "boundary", "omega", "twisted"]))
+        args = [f"--rep={rep}", f"--level={draw(st.sampled_from(['tck', 'ck', 'reduced', 'normalized']))}"]
+        depth = draw(st.sampled_from([None, None, -2, -1, 0, 1, 2, 3, 4]))
+        if depth is not None:
+            args.append(f"--depth={depth}")
+        if draw(st.integers(0, 7)) < (6 if rep == "twisted" else 1):
+            args.append(f"--kappa={','.join(draw(st.lists(st.sampled_from(KAPPA_ENTRIES), max_size=3)))}")
+        return args
+    if command == "expect":
+        if draw(st.booleans()):  # token soup
+            return [f"--element={''.join(draw(st.lists(st.sampled_from(ELEMENT_TOKENS), max_size=8)))}"]
+        terms = draw(st.lists(st.tuples(st.sampled_from(COEFFS), st.sampled_from(MONOMIALS)), min_size=1, max_size=3))
+        return [f"--element={' + '.join(f'{c} * {m}' for c, m in terms)}"]
+    return []
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_texts(), st.sampled_from(["analyze", "transform", "tails", "verify", "expect"]), st.data())
+def test_main_returns_an_exit_code_and_never_raises(tmp_path_factory, text, command, data):
+    path = tmp_path_factory.mktemp("cli") / "g.graph"
+    path.write_text(text)
+    argv = [command, str(path)] + data.draw(command_args(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2) and (code == 1) <= (command == "verify")
+    assert (code == 2) == err.getvalue().startswith("graphck: error:")

@@ -10,25 +10,43 @@ from graphck import (
     cycle_class,
     entrance_free_classes,
     has_entrance_in,
+    is_cofinal,
     is_cutting_set,
     mu_lambda,
     rotations,
     simple_cycles,
 )
-from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, random_graphs
+from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph, random_graphs
+from oracles import simple_cycles_oracle
 
 
 def test_simple_cycles_examples():
     assert [c.render() for c in simple_cycles(g1_loop())] == ["e"]
     assert [c.render() for c in simple_cycles(g2_cyc2())] == ["e1 e2"]
-    assert simple_cycles(g4_line()) == []
+    assert simple_cycles(g4_line()) == ()
 
 
-def test_simple_cycles_multigraph_and_guard():
+def test_simple_cycles_multigraph_and_guard(monkeypatch):
     fig8 = dict(EXTRAS)["fig8"]
     assert [c.render() for c in simple_cycles(fig8)] == ["a", "b"]
-    with pytest.raises(CycleCountError):
-        simple_cycles(dict(EXTRAS)["cyc2par"], guard=1)
+    monkeypatch.setattr("graphck.cycles.CYCLE_GUARD", 1)
+    simple_cycles.cache_clear()
+    with pytest.raises(CycleCountError, match="more than 1 simple cycles"):
+        simple_cycles(dict(EXTRAS)["cyc2par"])
+
+
+def test_simple_cycles_match_the_unrestricted_search():
+    for name, g in CORPUS + EXTRAS:
+        assert simple_cycles(g) == tuple(simple_cycles_oracle(g)), name
+
+
+def test_simple_cycles_search_stays_inside_components():
+    # 81 vertices and about 2^40 simple paths into the sink, but no cycle:
+    # a search that left the cyclic components would not finish here
+    g = layered_graph(40)
+    assert simple_cycles(g) == ()
+    assert not is_cofinal(g)  # the two top-layer sources do not reach each other
+    assert entrance_free_classes(g) == ()
 
 
 def test_canonical_rotation_and_class():
@@ -64,7 +82,7 @@ def test_entrance_free_matches_cycle_filter():
     for g in graphs:
         by_filter = {
             cycle_class(c).representative.edges
-            for c in simple_cycles(g)
+            for c in simple_cycles_oracle(g)
             if not has_entrance_in(g, c, g.vertices)
         }
         by_chase = {c.representative.edges for c in entrance_free_classes(g)}

@@ -196,6 +196,19 @@ def test_witness_search_stops_at_the_least_witness(monkeypatch):
     assert verify_relations(left_regular(g), TCK).passed
 
 
+def test_cycle_relation_on_the_toeplitz_family_reads_the_twin_projections():
+    # under toeplitz_family, p_v = p_alpha(v) + p_beta(v); the cycle relation
+    # tests the vectors that projection fixes, so s_e fails at the beta twin
+    # (boundary) or moves the empty path at alpha(v) (left-regular)
+    tg = toeplitz_graph(g1_loop())
+    fam = toeplitz_family(tg)
+    depth = reps.min_verification_depth(g1_loop(), REDUCED)
+    for rep, witness in ((boundary(tg.graph), "@beta:v|."), (left_regular(tg.graph), "@alpha:v")):
+        failures = verify_relations(rep, REDUCED, depth, fam).failures
+        assert [(f.relation, f.witness) for f in failures if f.relation.startswith("R[")] == [
+            ("R[e]", witness)], rep.kind
+
+
 def test_passing_reports_build_no_test_set(monkeypatch):
     def refuse(*args):
         raise AssertionError("a passing report built a test set")
