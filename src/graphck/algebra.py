@@ -30,6 +30,16 @@ def term_key(key: tuple[Path, Path]):
     return (path_key(a), path_key(b))
 
 
+def compose(left: tuple[Path, Path], right: tuple[Path, Path]) -> tuple[Path, Path] | None:
+    """The key of (s_a s_b^*)(s_c s_d^*) for left = (a, b) and right = (c, d),
+    or None when the product is 0 (the rule in the module docstring)."""
+    a, b = left
+    c, d = right
+    if len(b) <= len(c):
+        return (a.concat(c.strip_prefix(b)), d) if c.starts_with(b) else None
+    return (a, d.concat(b.strip_prefix(c))) if b.starts_with(c) else None
+
+
 class AlgebraElement:
     """A finite formal sum of monomials c * s_alpha s_beta^*."""
 
@@ -75,16 +85,11 @@ class AlgebraElement:
             return self.scaled(other)
         mode = self.mode if self.mode == other.mode else COMPLEX
         out: dict[tuple[Path, Path], object] = {}
-        for (a, b), c1 in self.terms.items():
-            for (cp, d), c2 in other.terms.items():
-                if len(b) <= len(cp):
-                    if not cp.starts_with(b):
-                        continue
-                    key = (a.concat(cp.strip_prefix(b)), d)
-                else:
-                    if not b.starts_with(cp):
-                        continue
-                    key = (a, d.concat(b.strip_prefix(cp)))
+        for left, c1 in self.terms.items():
+            for right, c2 in other.terms.items():
+                key = compose(left, right)
+                if key is None:
+                    continue
                 c = exact.mul(c1, c2)
                 key_c = exact.add(out[key], c) if key in out else c
                 out[key] = key_c
@@ -156,12 +161,12 @@ def _coeff_str(c, polar: bool):
     value is negative when its first printed part is."""
     if isinstance(c, complex):
         return False, f"({c!r})"
-    text = c.render(polar)
+    x = c.minimal()
+    text = exact.least_text(x, polar)
     neg = text.startswith(("-", "(-"))
-    if neg:
-        c = -c
-        text = c.render(polar)
-    return neg, None if c == exact.ONE else text
+    if neg:  # the negation of a value at its least level is at its least level
+        text = exact.least_text(-x, polar)
+    return neg, None if text == "1" else text
 
 
 def zero(mode: str = EXACT) -> AlgebraElement:
@@ -240,14 +245,16 @@ def w_normal_form(g: Graph, p: Path) -> Path:
     """Strip the maximal trailing power of an entrance-free cycle.
 
     Writes p = p' mu^n with p' not ending in any entrance-free cycle and
-    returns p'; idempotent by construction.
+    returns p'; idempotent by construction.  A rotation mu at s(p) starts and
+    ends at s(p), so one scan of p's edges from the end finds n.
     """
-    rot_by_src = _efree_rotation_by_source(g)
-    while True:
-        rot = rot_by_src.get(p.source)
-        if rot is None or not p.ends_with(rot):
-            return p
-        p = p.strip_suffix(rot)
+    rot = _efree_rotation_by_source(g).get(p.source)
+    if rot is None:
+        return p
+    r, k = len(rot.edges), len(p.edges)
+    while k >= r and p.edges[k - r:k] == rot.edges:
+        k -= r
+    return p if k == len(p.edges) else Path(p.edges[:k], p.vertices[:k + 1])
 
 
 def is_w_path(g: Graph, p: Path) -> bool:

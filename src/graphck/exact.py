@@ -17,6 +17,20 @@ value.  A value that is no rational multiple of a root of unity prints as a
 parenthesised sum of polar terms over the power basis of its least field.
 An inexact value entering the exact mode raises :class:`ExactnessError`;
 a value that would need a level above ``MAX_LEVEL`` raises :class:`LevelError`.
+
+The least field is found by a descent one prime at a time
+(``Cyclotomic.minimal``); the levels whose field holds a value are closed
+under gcd, so the descent reaches the least of them.  At level n and a prime
+p dividing n, with m = n/p (Washington, *Introduction to Cyclotomic Fields*,
+ch. 2):
+
+* p^2 | n: Phi_n(x) = Phi_m(x^p), so the value lies in Q(zeta_m) exactly when
+  only exponents divisible by p occur, and its numerators there are
+  ``num[::p]``;
+* p || n: Q(zeta_n) = Q(zeta_m) (x) Q(zeta_p), and zeta_n^i =
+  zeta_m^(a*i) zeta_p^(b*i) with a = p^-1 mod m and b = m^-1 mod p.  With
+  A_j the part at zeta_p^j, reduced at level m, the value lies in Q(zeta_m)
+  exactly when A_1 = ... = A_(p-1), and is A_0 - A_(p-1) there.
 """
 
 from __future__ import annotations
@@ -217,35 +231,26 @@ class Cyclotomic:
         turn = 2.0 * math.pi / self.level
         return complex(sum(c * cmath.rect(1.0, k * turn) for k, c in enumerate(self.num))) / self.den
 
-    def _restrict(self, m: int) -> "Cyclotomic | None":
-        """This value at the level m dividing its own, or None when it does
-        not lie in Q(zeta_m): solve lift(y) == self by elimination."""
-        step, size = self.level // m, len(_cyclotomic_poly(m)) - 1
-        lifts = list(islice(_powers(self.level), 0, step * size, step))  # zeta_m^j for j < size
-        rows = [[Fraction(p[i]) for p in lifts] + [Fraction(c, self.den)] for i, c in enumerate(self.num)]
-        for j in range(size):  # the lift is injective, so every column has a pivot
-            p = next(i for i in range(j, len(rows)) if rows[i][j])
-            rows[j], rows[p] = rows[p], rows[j]
-            rows[j] = [v / rows[j][j] for v in rows[j]]
-            for i, row in enumerate(rows):
-                if i != j and row[j]:
-                    rows[i] = [a - row[j] * b for a, b in zip(row, rows[j])]
-        if any(row[-1] for row in rows[size:]):
-            return None
-        den = math.lcm(*(row[-1].denominator for row in rows[:size]))
-        return Cyclotomic(m, tuple(int(row[-1] * den) for row in rows[:size]), den)
-
     def minimal(self) -> "Cyclotomic":
-        """The same value at the least level whose field contains it."""
+        """The same value at the least level whose field contains it.
+
+        The levels whose field holds the value are closed under gcd, so a
+        descent one prime at a time reaches the least of them: step from n to
+        n/p for the first prime p for which ``_descend`` succeeds, until none
+        does.  The result is never of a level 2 mod 4 (Q(zeta_2m) = Q(zeta_m)
+        for odd m, so that step always succeeds).
+        """
         n, num = self.level, self.num
         if not any(num[1:]):  # the power basis starts with 1, so this is rational
             return Cyclotomic(1, num[:1], self.den)
-        for m in range(3, n):
-            if n % m == 0 and m % 4 != 2:  # Q(zeta_2m) = Q(zeta_m) for odd m
-                low = self._restrict(m)
+        while True:
+            for p in _prime_factors(n):
+                low = _descend(n, num, p)
                 if low is not None:
-                    return low
-        return self
+                    n, num = n // p, low
+                    break
+            else:
+                return self if n == self.level else Cyclotomic(n, num, self.den)
 
     def polar_terms(self) -> list[tuple[Fraction, Fraction]]:
         """(mag, turn) pairs summing to this value: one pair when it is
@@ -263,20 +268,57 @@ class Cyclotomic:
     def render(self, polar: bool = False) -> str:
         """Gaussian style a+bi for a Gaussian rational unless ``polar``; polar
         style mag@turn, or a parenthesised sum of polar terms, otherwise."""
-        x = self.minimal()
-        if not polar and x.level == 4:  # in Q(i) but not in Q; a rational prints alike in both styles
-            re, im = Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
-            imag = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{abs(im)}i")
-            return imag if re == 0 else f"({re}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
-        texts = [str(mag) if turn == 0 else f"{mag}@{turn}" for mag, turn in x.polar_terms()]
-        if len(texts) < 2:
-            return texts[0] if texts else "0"
-        return "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+        return least_text(self.minimal(), polar)
 
     __str__ = render
 
     def __repr__(self) -> str:
         return f"<Cyclotomic {self.render()}>"
+
+
+def least_text(x: Cyclotomic, polar: bool = False) -> str:
+    """``x.render(polar)`` for a value ``x`` already at its least level
+    (``Cyclotomic.minimal``), so that it is not sought again."""
+    if not polar and x.level == 4:  # in Q(i) but not in Q; a rational prints alike in both styles
+        re, im = Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
+        imag = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{abs(im)}i")
+        return imag if re == 0 else f"({re}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
+    texts = [str(mag) if turn == 0 else f"{mag}@{turn}" for mag, turn in x.polar_terms()]
+    if len(texts) < 2:
+        return texts[0] if texts else "0"
+    return "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _descend(n: int, num: tuple[int, ...], p: int) -> tuple[int, ...] | None:
+    """The numerators at level m = n/p of sum(num[i] * zeta_n^i), for a prime
+    p dividing n, or None when that value does not lie in Q(zeta_m); the two
+    cases are those of the module docstring."""
+    m = n // p
+    if m % p == 0:  # over Q(zeta_m) the basis is 1, zeta_n, ..., zeta_n^(p-1)
+        return None if any(num[i] for i in range(len(num)) if i % p) else num[::p]
+    # over Q(zeta_m) the basis is 1, zeta_p, ..., zeta_p^(p-2), and
+    # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    groups = [[0] * m for _ in range(p)]
+    for i, c in enumerate(num):
+        if c:
+            groups[b * i % p][a * i % m] += c
+    parts = [_reduce(m, group) for group in groups]
+    last = parts[-1]
+    if any(part != last for part in parts[1:-1]):
+        return None
+    return tuple(x - y for x, y in zip(parts[0], last))
 
 
 def _fold(mag: Fraction, turn: Fraction) -> tuple[Fraction, Fraction]:

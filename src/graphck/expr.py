@@ -7,6 +7,10 @@ Coefficient literals are rationals (``3``, ``1/2``), Gaussian rationals
 exp(2*pi*i/3)) and parenthesised sums of these (``(1+1/2i)``,
 ``(-1+2@1/6)``).  Every literal is an exact cyclotomic value, so both styles
 mix freely in one expression.
+
+Parsing is linear in the length of the expression: each term folds its
+generators into one key (``algebra.compose``) and its scalars into one
+coefficient, and the whole sum accumulates in one coefficient map.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import re
 from fractions import Fraction
 
 from . import exact
-from .algebra import AlgebraElement, path_isometry, vertex_projection, zero
-from .graph import Graph
+from .algebra import AlgebraElement, compose, zero
+from .graph import Graph, Path
 
 
 class ExprError(ValueError):
@@ -92,48 +96,69 @@ class _Parser:
         return -1 if tok[0] == "-" else 1
 
     def parse(self) -> AlgebraElement:
-        total = zero()
+        """The sum of the terms, accumulated in one coefficient map.  A key
+        whose coefficient sums to 0 leaves the map at once, as it leaves a sum
+        of elements, so a later term at that key starts again from its own
+        cyclotomic level."""
+        terms: dict[tuple[Path, Path], exact.Cyclotomic] = {}
         sign = self.take_sign() or 1
         while True:
-            term = self.parse_term()
-            total = total + (term if sign > 0 else -term)
+            key, coeff = self.parse_term()
+            if key is not None and not coeff.is_zero:
+                coeff = coeff if sign > 0 else -coeff
+                total = terms[key] + coeff if key in terms else coeff
+                if total.is_zero:
+                    del terms[key]
+                else:
+                    terms[key] = total
             if self.peek() is None:
-                return total
+                return AlgebraElement(terms)
             sign = self.take_sign()
             if sign is None:
                 raise ExprError(f"expected '+' or '-', got {self.peek()[0]!r}")
 
-    def parse_term(self) -> AlgebraElement:
-        coeff = exact.ONE
-        elem: AlgebraElement | None = None
+    def parse_term(self) -> tuple[tuple[Path, Path] | None, exact.Cyclotomic]:
+        """(key, coefficient) of one product of factors: the generators fold
+        into one key by the product rule (None when they multiply to 0) and
+        the scalars into one coefficient."""
+        coeff = None
+        keys = []
         while True:
             piece = self.parse_factor()
-            if isinstance(piece, AlgebraElement):
-                elem = piece if elem is None else elem * piece
+            if isinstance(piece, tuple):
+                keys.append(piece)
             else:
-                coeff = coeff * piece
+                coeff = piece if coeff is None else coeff * piece
             tok = self.peek()
             if tok is None or tok[0] != "*":
                 break
             self.take()
-        if elem is None:
+        if not keys:
             raise ExprError(
                 "scalar term without a generator; the algebra has no unit"
             )
-        return elem.scaled(coeff)
+        key = keys[0]
+        for right in keys[1:]:
+            if key is None:
+                break
+            key = compose(key, right)
+        return key, exact.ONE if coeff is None else coeff
 
     def parse_factor(self):
+        """A generator's key (alpha, beta), or a scalar."""
         tok = self.peek()
         if tok is not None and tok[0] == "gen":
             _, head, ids = self.take()
             if head == "p":
                 if len(ids) != 1:
                     raise ExprError(f"p[...] takes one vertex id, got {ids}")
-                return vertex_projection(self.g, ids[0])
+                empty = self.g.empty_path(ids[0])
+                return empty, empty
             if not ids:
                 raise ExprError("s[...] needs at least one edge id")
-            elem = path_isometry(self.g, self.g.path(list(ids)))
-            return elem.adjoint() if head == "s*" else elem
+            path = self.g.path(list(ids))
+            empty = self.g.empty_path(path.source)
+            return (empty, path) if head == "s*" else (path, empty)
         if tok is not None and tok[0] == "(":
             self.take()
             total = self.parse_scalar(self.take_sign() or 1)

@@ -7,14 +7,19 @@ exception is ``test_set_equal_oracle``, the operator-equality scan over the
 canonical test set that the closed-form route replaced, together with the
 two other routes that production code no longer takes: ``deep_walk_equal``
 (seeded random walks) and ``verify_relations_oracle`` (the relation check by
-a scan of the whole test set).
+a scan of the whole test set).  Two more replaced routes close the file:
+``minimal_oracle``, the least cyclotomic level by one linear elimination per
+divisor, and ``parse_element_oracle``, which parses an expression one
+element per generator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 
 from graphck import (
@@ -42,6 +47,9 @@ from graphck import (
     simple_cycles,
     sources,
 )
+from graphck.algebra import path_isometry, vertex_projection, zero
+from graphck.exact import Cyclotomic, _cyclotomic_poly, _powers
+from graphck.expr import ExprError, _Parser, _tokenize
 from graphck.graph import path_key
 from graphck.reps import LEVELS, combos_equal
 
@@ -405,3 +413,100 @@ def verify_relations_oracle(rep, level: str, depth: int | None = None, family=No
 def report_tuple(report: RelationReport):
     """A relation report as a comparable value."""
     return report.level, report.depth, report.failures, report.kappa
+
+
+def _restrict(v: Cyclotomic, m: int) -> Cyclotomic | None:
+    """``v`` at the level m dividing its own, or None when it does not lie in
+    Q(zeta_m): solve lift(y) == v by elimination over Fractions."""
+    step, size = v.level // m, len(_cyclotomic_poly(m)) - 1
+    lifts = list(itertools.islice(_powers(v.level), 0, step * size, step))  # zeta_m^j for j < size
+    rows = [[Fraction(p[i]) for p in lifts] + [Fraction(c, v.den)] for i, c in enumerate(v.num)]
+    for j in range(size):  # the lift is injective, so every column has a pivot
+        p = next(i for i in range(j, len(rows)) if rows[i][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[j])]
+    if any(row[-1] for row in rows[size:]):
+        return None
+    den = math.lcm(*(row[-1].denominator for row in rows[:size]))
+    return Cyclotomic(m, tuple(int(row[-1] * den) for row in rows[:size]), den)
+
+
+def minimal_oracle(v: Cyclotomic) -> Cyclotomic:
+    """``v`` at the least level whose field contains it: try every divisor m
+    of its level in increasing order (skipping m = 2 mod 4, as Q(zeta_2m) =
+    Q(zeta_m) for odd m) and keep the first that an elimination accepts."""
+    n, num = v.level, v.num
+    if not any(num[1:]):
+        return Cyclotomic(1, num[:1], v.den)
+    for m in range(3, n):
+        if n % m == 0 and m % 4 != 2:
+            low = _restrict(v, m)
+            if low is not None:
+                return low
+    return v
+
+
+minimal_oracle.__test__ = False  # an oracle, not a pytest test
+
+
+class _FactorParser(_Parser):
+    """The element syntax parsed one element per factor: each generator is
+    an element, the factors of a term are multiplied with ``*`` and the
+    terms summed with ``+``.  Scalars are read as ``graphck.expr`` reads them."""
+
+    def parse(self) -> AlgebraElement:
+        total = zero()
+        sign = self.take_sign() or 1
+        while True:
+            term = self.parse_term()
+            total = total + (term if sign > 0 else -term)
+            if self.peek() is None:
+                return total
+            sign = self.take_sign()
+            if sign is None:
+                raise ExprError(f"expected '+' or '-', got {self.peek()[0]!r}")
+
+    def parse_term(self) -> AlgebraElement:
+        coeff = exact.ONE
+        elem = None
+        while True:
+            piece = self.parse_factor()
+            if isinstance(piece, AlgebraElement):
+                elem = piece if elem is None else elem * piece
+            else:
+                coeff = coeff * piece
+            tok = self.peek()
+            if tok is None or tok[0] != "*":
+                break
+            self.take()
+        if elem is None:
+            raise ExprError("scalar term without a generator; the algebra has no unit")
+        return elem.scaled(coeff)
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok is None or tok[0] != "gen":
+            return super().parse_factor()
+        _, head, ids = self.take()
+        if head == "p":
+            if len(ids) != 1:
+                raise ExprError(f"p[...] takes one vertex id, got {ids}")
+            return vertex_projection(self.g, ids[0])
+        if not ids:
+            raise ExprError("s[...] needs at least one edge id")
+        elem = path_isometry(self.g, self.g.path(list(ids)))
+        return elem.adjoint() if head == "s*" else elem
+
+
+def parse_element_oracle(g: Graph, text: str) -> AlgebraElement:
+    """``graphck.parse_element`` by the factor-by-factor route, which copies
+    and revalidates the running sum at every term."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ExprError("empty expression")
+    if len(tokens) == 1 and tokens[0] == ("num", Fraction(0)):
+        return zero()
+    return _FactorParser(g, tokens).parse()

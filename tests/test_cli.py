@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import pathlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
 from graphck.cli import main
 from graphck.graph import cyclic_components
-from corpus import BUDGET_GRAPH, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph
+from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph
 
 
 @pytest.fixture
@@ -308,6 +310,26 @@ def test_expect_sums_two_directions(capsys, tmp_path):
     assert parse_element(g, result["wNormalForm"]) == element_w_normal_form(g, parse_element(g, text))
 
 
+def test_expect_on_four_thousand_terms_is_fast(capsys, tmp_path):
+    """Each term is parsed as one monomial and the sum kept in one map, so a
+    4,000-term element with distinct keys is read in linear time (the
+    factor-by-factor route took about 20 s)."""
+    path = tmp_path / "loop.graph"
+    path.write_text("vertex v\nedge f : v -> v\n")
+    power = lambda n: " ".join(["f"] * n)  # noqa: E731
+    text = " + ".join(f"{n % 7 + 1}/{n % 5 + 1} * s[{power(n // 64 + 1)}] * s*[{power(n % 64 + 1)}]"
+                      for n in range(4000))
+    started = time.perf_counter()
+    code, out, err = _run(capsys, ["expect", str(path), f"--element={text}"])
+    assert time.perf_counter() - started < 3.0
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["element"].count(" * s*[") == 4000
+    # f is an entrance-free loop, so every key's W-normal form is p[v]
+    total = sum(Fraction(n % 7 + 1, n % 5 + 1) for n in range(4000))
+    assert result["wNormalForm"] == result["expectation"] == f"{total} * p[v]"
+
+
 ELEMENT_TOKENS = ("p[v0]", "p[v1]", "p[q]", "s[e0]", "s*[e0]", "s[e0 e1]", "s*[e1]", "s[]",
                   "1", "2/3", "1/0", "0", "i", "@", "1@1/3", "1@1/0", "2@-1/4",
                   "*", "+", "-", "(", ")", " ", "x")
@@ -368,3 +390,19 @@ def test_main_returns_an_exit_code_and_never_raises(tmp_path_factory, text, comm
     event(f"{command} exit {code}")
     assert code in (0, 1, 2) and (code == 1) <= (command == "verify")
     assert (code == 2) == err.getvalue().startswith("graphck: error:")
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "expect_golden.json").read_text())
+
+
+def test_expect_output_matches_the_recorded_golden_file(tmp_path, capsys):
+    """``graphck expect`` prints exactly what ``tests/data/make_expect_golden.py``
+    recorded: exit code, standard output and standard error, byte for byte."""
+    graphs = dict(CORPUS + EXTRAS)
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.graph").write_text(g.to_text())
+    assert len(GOLDEN) >= 190 and {r["graph"] for r in GOLDEN} == set(graphs)
+    for record in GOLDEN:
+        got = _run(capsys, ["expect", str(tmp_path / f"{record['graph']}.graph"),
+                            f"--element={record['element']}"])
+        assert got == (record["code"], record["stdout"], record["stderr"]), record["element"]

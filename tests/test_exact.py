@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from graphck import (
 )
 from graphck import exact
 from graphck.exact import TOL
+from oracles import minimal_oracle
 
 I = GaussianRational(0, 1)
 
@@ -252,3 +254,65 @@ def test_render_parses_back_examples():
         e = p_v.scaled(c) + p_v.scaled(c).scaled(Phase(Fraction(1, 8))) * vertex_projection(G1, "v")
         for polar in (False, True):
             assert parse_element(G1, e.render(polar)) == e, e.render(polar)
+
+
+# ------------------------------------------------- the least level by descent
+
+@st.composite
+def same_level_values(draw):
+    """Two sums of one to three rational multiples of k/d turns, every d
+    dividing one N."""
+    n = draw(st.sampled_from([12, 24, 36, 60, 72, 84, 90, 120]))
+    turns = st.sampled_from(sorted({Fraction(k, d) for d in range(1, n + 1) if n % d == 0 for k in range(d)}))
+    values = []
+    for _ in range(2):
+        total = exact.rational(0)
+        for _ in range(draw(st.integers(1, 3))):
+            total = total + PolarCoeff(draw(_MAGS), draw(turns))
+        values.append(total)
+    return values
+
+
+def _assert_minimal_matches_the_oracle(v):
+    got, want = v.minimal(), minimal_oracle(v)
+    assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
+    for polar in (False, True):
+        assert v.render(polar) == exact.least_text(want, polar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_level_values())
+def test_minimal_matches_the_elimination_oracle(values):
+    """The prime descent finds the level, numerators and denominator that the
+    divisor-by-divisor elimination finds, and prints the same text; the sum
+    and the product meet at the lcm of two levels that may share primes."""
+    a, b = values
+    for v in (a, a + b, a * b):
+        _assert_minimal_matches_the_oracle(v)
+
+
+def test_minimal_matches_the_oracle_at_large_levels():
+    z840 = PolarCoeff(1, Fraction(1, 840))
+    x = z840 + PolarCoeff(Fraction(2, 3), Fraction(3, 840)) + exact.ONE
+    inner = PolarCoeff(1, Fraction(1, 24)) + PolarCoeff(Fraction(1, 2), Fraction(1, 7))
+    z997 = PolarCoeff(1, Fraction(1, 997))
+    zeta12 = PolarCoeff(1, Fraction(1, 12))
+    cases = [
+        (x * x * x, 840),
+        (inner + z840 - z840, 168),  # stored at level 840, lies in Q(zeta_168)
+        (z997 + z997.conjugate(), 997),
+        (z997 * z997.conjugate(), 1),
+        (zeta12 * PolarCoeff(1, Fraction(11, 12)), 1),  # rational, stored at level 12
+    ]
+    for v, level in cases:
+        _assert_minimal_matches_the_oracle(v)
+        assert v.minimal().level == level
+
+
+def test_rendering_a_level_840_value_is_fast():
+    x = PolarCoeff(1, Fraction(1, 840)) + PolarCoeff(Fraction(2, 3), Fraction(3, 840)) + exact.ONE
+    cube = x * x * x
+    started = time.perf_counter()
+    text = cube.render(polar=True)
+    assert time.perf_counter() - started < 0.2  # 0.6-0.9 s by one elimination per divisor
+    assert text.startswith("(1+3@1/840+")

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphck import (
+    AlgebraElement,
     ExprError,
+    Graph,
     GaussianRational,
     Phase,
     PolarCoeff,
@@ -11,7 +14,9 @@ from graphck import (
     path_isometry,
     vertex_projection,
 )
+from graphck.graph import enumerate_paths
 from corpus import g1_loop, g2_cyc2, g3_ent
+from oracles import parse_element_oracle
 
 
 def test_parse_generators():
@@ -101,3 +106,61 @@ def test_parse_errors():
         parse_element(g1, "p[v] $ s[e]")
     with pytest.raises(ExprError):
         parse_element(g1, "(1+i * p[v]")
+
+
+# ------------------------------------------- one monomial per term, checked
+# against the factor-by-factor route
+
+_G = Graph(["a", "b"], [("la", "a", "a"), ("f", "a", "b"), ("h", "b", "a")])
+_PATHS = [p.render() for p in enumerate_paths(_G, 2) if p.edges]
+_GENERATORS = ["p[a]", "p[b]"] + [f"s[{p}]" for p in _PATHS] + [f"s*[{p}]" for p in _PATHS]
+_SCALARS = ["0", "1", "3", "1/2", "i", "2/3i", "1@1/3", "2/5@1/8", "1@7/12",
+            "(1+i)", "(1-1@1/6)", "(-1/2+2@1/5)", "(i)", "(0)"]
+_TOKENS = _GENERATORS[:6] + _SCALARS[:8] + [
+    "*", "+", "-", "(", ")", "@", "i", "0", "s[]", "p[a b]", "s[zz]", "p[q]", "s[la f]",
+    "q[a]", "1/0", "1@1/1009", "1@1/97 * 1@1/101", "$",
+]
+
+
+@st.composite
+def expressions(draw):
+    """A sum drawn from a small pool of terms, so that terms repeat and, with
+    opposite signs, cancel."""
+    factor = st.sampled_from(_GENERATORS + _SCALARS)
+    term = st.lists(factor, min_size=1, max_size=4).filter(lambda fs: set(fs) & set(_GENERATORS))
+    pool = draw(st.lists(term.map(" * ".join), min_size=1, max_size=4))
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    text = "".join(f" {draw(st.sampled_from('+-'))} {t}" for t in terms)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(_G, text)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions())
+def test_parse_matches_the_factor_by_factor_route(text):
+    got, want = _outcome(parse_element, text), _outcome(parse_element_oracle, text)
+    assert isinstance(want, AlgebraElement), want
+    assert isinstance(got, AlgebraElement) and got == want
+    assert got.render() == want.render() and got.render(polar=True) == want.render(polar=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=8).map(" ".join))
+def test_malformed_input_fails_as_the_factor_by_factor_route_does(text):
+    got, want = _outcome(parse_element, text), _outcome(parse_element_oracle, text)
+    if isinstance(want, AlgebraElement):
+        assert isinstance(got, AlgebraElement) and got == want
+    else:
+        assert got == want
+
+
+def test_parse_examples_match_the_factor_by_factor_route():
+    for text in ["s[la] * s*[la] * s[f] - s[f]", "2 * p[a] * 0 + p[b]", "p[a] * p[b] + 1@1/3 * s*[f]",
+                 "1@1/97 * p[a] - 1@1/97 * p[a] + 1@1/101 * p[a]", "s*[h] * s[h] * (1+i) * 1@1/5"]:
+        assert parse_element(_G, text) == parse_element_oracle(_G, text), text
