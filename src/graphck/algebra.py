@@ -279,12 +279,14 @@ def element_w_normal_form(g: Graph, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(out, a.mode)
 
 
+def diagonal(a: AlgebraElement) -> AlgebraElement:
+    """The terms of ``a`` with alpha == beta."""
+    return AlgebraElement({k: c for k, c in a.terms.items() if k[0] == k[1]}, a.mode)
+
+
 def diag_expectation(g: Graph, a: AlgebraElement) -> AlgebraElement:
     """The diagonal compression: W-normalise, then keep keys with alpha == beta."""
-    normal = element_w_normal_form(g, a)
-    return AlgebraElement(
-        {k: c for k, c in normal.terms.items() if k[0] == k[1]}, normal.mode
-    )
+    return diagonal(element_w_normal_form(g, a))
 
 
 def ideal_span_pairs(g: Graph, x: BoundaryPath, depth: int) -> list[tuple[Path, Path]]:

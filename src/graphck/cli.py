@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import diag_expectation, element_w_normal_form
+from .algebra import diagonal, element_w_normal_form
 from .cycles import canonical_cutting_set, entrance_free_classes, simple_cycles
 from .exact import ExactnessError, Phase, from_phase
 from .expr import ExprError, parse_element
@@ -221,10 +221,11 @@ def _cmd_expect(args) -> int:
     g = _load_graph(args.graph)
     element = parse_element(g, args.element)
     polar = "@" in args.element  # the print style follows the input's
+    normal = element_w_normal_form(g, element)
     result = {
         "element": element.render(polar),
-        "wNormalForm": element_w_normal_form(g, element).render(polar),
-        "expectation": diag_expectation(g, element).render(polar),
+        "wNormalForm": normal.render(polar),
+        "expectation": diagonal(normal).render(polar),
     }
     _emit(_report("expect", g, result), args.pretty)
     return EXIT_OK

@@ -7,12 +7,17 @@ import pytest
 from graphck import (
     BOUNDARY,
     CK,
+    COMPLEX,
+    EXACT,
     LEFT_REGULAR,
     NORMALIZED,
     OMEGA,
     REDUCED,
     TCK,
+    AlgebraElement,
     GaussianRational,
+    GeneratorFamily,
+    Graph,
     GraphError,
     NotReducedError,
     WorkBudgetError,
@@ -24,6 +29,7 @@ from graphck import (
     canonical_cutting_set,
     canonical_family,
     canonicalize,
+    ck_defect,
     diag_expectation,
     entrance_free_classes,
     enumerate_paths,
@@ -51,7 +57,7 @@ from graphck import (
 )
 from graphck import exact, is_cofinal, reps
 from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, layered_graph, random_element
-from oracles import deep_walk_equal
+from oracles import deep_walk_equal, report_tuple, verify_relations_oracle
 
 
 def _omega_graphs(limit=None):
@@ -225,6 +231,77 @@ def test_passing_reports_build_no_test_set(monkeypatch):
         assert verify_relations(trep, REDUCED).passed, name
         assert verify_relations(rescale_family(trep), NORMALIZED).passed, name
         assert len(extract_kappa(trep)) == len(cut), name
+
+
+def _random_multigraphs(seed, count):
+    """Seeded multigraphs of 1-5 vertices whose edges pick both ends at
+    random, so loops and parallel edges occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        vs = [f"v{i}" for i in range(rng.randint(1, 5))]
+        edges = [(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(rng.randint(0, 8))]
+        out.append(Graph(vs, edges))
+    return out
+
+
+def test_toeplitz_relations_hold_formally_on_the_canonical_family():
+    """The lemma behind skipping T1-T3 on the canonical family: each is an
+    identity of formal elements, so it holds in every representation."""
+    graphs = [g for _, g in CORPUS + EXTRAS]
+    graphs += [toeplitz_graph(g).graph for g in graphs]
+    graphs += _random_multigraphs(31, 100)
+    assert any(len(g.edges) > len(set((g.source_of(e), g.range_of(e)) for e in g.edges))
+               for g in graphs)  # parallel edges
+    assert any(g.source_of(e) == g.range_of(e) for g in graphs for e in g.edges)  # loops
+    for g in graphs:
+        for mode in (EXACT, COMPLEX):
+            fam = canonical_family(g, mode)
+            nothing = zero(mode)
+            for u in g.vertices:
+                for v in g.vertices:
+                    assert fam.p[u] * fam.p[v] == (fam.p[u] if u == v else nothing), (g, u, v)
+            for e in g.edges:
+                assert fam.s[e].adjoint() * fam.s[e] == fam.p[g.source_of(e)], (g, e)
+            for v in g.vertices:
+                d = ck_defect(fam, v)
+                assert d.adjoint() == d and d * d == d, (g, v)
+
+
+def test_canonical_tck_reports_build_no_element(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for name, g in CORPUS:
+        kappa = {x: Phase(Fraction(rng.randrange(12), 12)) for x in canonical_cutting_set(g)}
+        cases += [(name, rep) for rep in (left_regular(g), boundary(g), omega(g), twisted_boundary(g, kappa))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a canonical tck report built or compared an element")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    monkeypatch.setattr(reps, "operator_equal", refuse)
+    monkeypatch.setattr(reps, "ck_defect", refuse)
+    for name, rep in cases:
+        assert verify_relations(rep, TCK).passed, (name, rep.kind)
+
+
+def test_custom_families_still_check_the_toeplitz_relations():
+    """A family with q_u = p_u + p_w and t_e = 2 s_e breaks T1, T2 and T3;
+    the reports match the oracle scan, witnesses included."""
+    for name, g in CORPUS + EXTRAS:
+        if len(g.vertices) < 2 or not g.edges:
+            continue
+        fam = canonical_family(g)
+        u, w = g.vertices[:2]
+        e = g.edges[0]
+        broken = GeneratorFamily(g, {**fam.p, u: fam.p[u] + fam.p[w]}, {**fam.s, e: fam.s[e].scaled(2)})
+        for rep in (left_regular(g), boundary(g)):
+            for level in (TCK, CK):
+                report = verify_relations(rep, level, family=broken)
+                assert report_tuple(report) == report_tuple(
+                    verify_relations_oracle(rep, level, family=broken)), (name, rep.kind, level)
+                failed = {f.relation.split("[")[0] for f in report.failures}
+                assert {"T1", "T2", "T3"} <= failed, (name, rep.kind, level)
 
 
 def test_extract_kappa_rejects_left_regular():
