@@ -159,8 +159,11 @@ def _parse_kappa(text: str) -> dict[str, Phase]:
         if ":" not in item:
             raise GraphError(f"malformed kappa entry {item!r}; use edge:num/den")
         edge, turn = item.split(":", 1)
+        edge = edge.strip()
+        if edge in table:
+            raise GraphError(f"kappa names edge {edge!r} twice")
         try:
-            table[edge.strip()] = Phase(Fraction(turn.strip()))
+            table[edge] = Phase(Fraction(turn.strip()))
         except (ValueError, ZeroDivisionError) as err:
             raise GraphError(f"malformed kappa phase {turn!r}") from err
     return table

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 TOL = 1e-9
 
@@ -144,10 +143,12 @@ def _reduce(n: int, coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _powers(n: int):
-    """zeta_n^k for k = 0, 1, 2, ... in the power basis modulo Phi_n, one at a time."""
+def _powers(n: int, k: int = 0):
+    """zeta_n^j for j = k, k + 1, ... in the power basis modulo Phi_n, one at a
+    time, from 0 <= k <= phi(n)."""
     phi = _cyclotomic_poly(n)
-    vec = [1] + [0] * (len(phi) - 2)
+    deg = len(phi) - 1
+    vec = [-p for p in phi[:-1]] if k == deg else [int(j == k) for j in range(deg)]
     while True:
         yield vec
         top = vec[-1]
@@ -259,7 +260,7 @@ class Cyclotomic:
         n, num = self.level, self.num
         hits = [k for k, c in enumerate(num) if c]
         if len(hits) > 1:
-            for k, p in enumerate(islice(_powers(n), len(num), n), len(num)):
+            for k, p in zip(range(len(num), n), _powers(n, len(num))):
                 j = next(i for i, v in enumerate(p) if v)
                 if all(c * p[j] == num[j] * v for c, v in zip(num, p)):
                     return [_fold(Fraction(num[j], self.den * p[j]), Fraction(k, n))]

@@ -39,7 +39,9 @@ s_e^* s_e = p_{s(e)} and the projection identities of the CK defect hold as
 formal identities of ``compose``, and ``apply`` follows the same product rule
 on every basis (a twisted element is rescaled on both sides, which undoes the
 twist), so each formal identity holds as an operator identity in every
-representation.  Only CK and the cycle relations R can fail there.
+representation.  Only CK and the cycle relations R can fail there.  A custom
+family checks T1-T3 with ``operator_equal`` too, T3 as d^* d = d for the CK
+defect d, which holds exactly when d is a projection.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .cycles import (
     class_of_edge,
     entrance_free_classes,
     is_cutting_set,
+    is_cycle,
     rotations,
     simple_cycles,
 )
@@ -312,25 +315,29 @@ def _least_witness(rep: Representation, depth: int, fails):
     return next((x for x in _test_vectors(rep, depth) if fails(x)), None)
 
 
-def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int,
-                  closed_form: bool = True):
+def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int):
     """Whether s_mu acts as one scalar on the test vectors x that the
     family's p_{r(mu)} fixes (on the canonical family, those with range r(mu)).
 
     Returns (witness, scalar): (None, c) on success, (x, None) for the least
     vector x where s_mu is not the scalar it takes on the first, and
-    (None, None) when p_{r(mu)} fixes no vector.  On the boundary kinds of the
-    canonical family the first such vector is the periodic point mu^inf
-    (r(mu) lies on an entrance-free cycle, so no finite path and no other
-    period reaches it); c is read there and s_mu = c p_{r(mu)} is decided by
-    ``operator_equal``, so only a failure scans.
+    (None, None) when p_{r(mu)} fixes no vector.  The scalar is read on the
+    periodic point gamma^inf of the first term s_gamma of s_mu whose gamma is
+    a period of the basis (a simple cycle; on omega an entrance-free rotation;
+    none on left-regular), and s_mu = c p_{r(mu)} is decided by
+    ``operator_equal``, so only a failure scans.  On the canonical family the
+    point is mu^inf.
     """
     elem, at_range = fam.s_path(mu), fam.p[mu.range]
-    if closed_form and rep.kind != LEFT_REGULAR:
-        x = BoundaryPath(rep.graph.empty_path(mu.range), mu)
+    g = rep.graph
+    gamma = None if rep.kind == LEFT_REGULAR else next(
+        (a for (a, b), _ in elem.terms_sorted() if b.is_empty and is_cycle(a)
+         and (rep.kind != OMEGA or w_normal_form(g, a).is_empty)), None)
+    if gamma is not None:
+        x = BoundaryPath(g.empty_path(gamma.range), gamma)
         out = apply(rep, elem, x)
         if list(out) == [x] and operator_equal(rep, elem, at_range.scaled(out[x])):
-            return None, out[x]
+            return None, out[x]  # c x = s_mu x = c p_{r(mu)} x, so p_{r(mu)} fixes x
     scalar = None
     for x in _test_vectors(rep, depth):
         if not combos_equal(apply(rep, at_range, x), {x: exact.ONE}):
@@ -358,13 +365,10 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
 
     On the canonical family (``family`` None) T1-T3 hold by the product rule
     (see the module docstring) and are decided without building anything.
-    Every other relation is decided by ``operator_equal``.  Only a relation
-    that fails is scanned for its least witness in the test set of ``depth``;
-    one with no witness there passes at that depth.  A custom ``family``
-    checks T1 and T2 with ``operator_equal`` and keeps the scan for the
-    domination and cycle relations, since the closed forms rest on range
-    projections that are diagonal in the basis.  All failing instances are
-    reported, each with its least witness.
+    Every other relation, on every family, is decided by ``operator_equal``.
+    Only a relation that fails is scanned for its least witness in the test
+    set of ``depth``; one with no witness there passes at that depth.  All
+    failing instances are reported, each with its least witness.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
@@ -381,14 +385,12 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
 
-    def check(name, holds, fails):
-        witness = None if holds else _least_witness(rep, depth, fails)
+    def identity(name, e1, e2):
+        if operator_equal(rep, e1, e2):
+            return
+        witness = _least_witness(rep, depth, lambda x: not combos_equal(apply(rep, e1, x), apply(rep, e2, x)))
         if witness is not None:
             failures.append(RelationFailure(name, witness.render()))
-
-    def identity(name, e1, e2):
-        check(name, operator_equal(rep, e1, e2),
-              lambda x: not combos_equal(apply(rep, e1, x), apply(rep, e2, x)))
 
     nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else EXACT)
     receiving = [v for v in idx.vertices if idx.in_edges(v)]
@@ -404,14 +406,8 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
         for e in idx.edges:
             identity(f"T2[{e}]", fam.s[e].adjoint() * fam.s[e], fam.p[idx.source_of(e)])
 
-        for v in receiving:
-            d = defects[v]
-
-            def not_projected(x):  # d.xi_x is neither 0 nor xi_x
-                out = apply(rep, d, x)
-                return bool(out) and not (list(out) == [x] and exact.scalars_equal(out[x], exact.ONE))
-
-            check(f"T3[{v}]", False, not_projected)
+        for v in receiving:  # d^* d = d exactly when d is a projection
+            identity(f"T3[{v}]", defects[v].adjoint() * defects[v], defects[v])
 
     if checks_ck:
         for v in receiving:
@@ -421,7 +417,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
         for cls in entrance_free_classes(idx):
             class_scalar = None
             for mu in cls.members:
-                witness, scalar = _cycle_scalar(rep, fam, mu, depth, canonical)
+                witness, scalar = _cycle_scalar(rep, fam, mu, depth)
                 if witness is not None:
                     problem = witness.render()
                 elif scalar is None:

@@ -375,15 +375,10 @@ def verify_relations_oracle(rep, level: str, depth: int | None = None, family=No
             failures.append(RelationFailure(f"T2[{e}]", w.render()))
     receiving = [v for v in idx.vertices if idx.in_edges(v)]
     defects = {v: ck_defect(fam, v) for v in receiving}
-    for v in receiving:
-        for x in basis:
-            out = apply(rep, defects[v], x)
-            if not out:
-                continue
-            if len(out) == 1 and x in out and exact.scalars_equal(out[x], exact.ONE):
-                continue
-            failures.append(RelationFailure(f"T3[{v}]", x.render()))
-            break
+    for v in receiving:  # the defect is a projection exactly when d^* d = d
+        w = first_witness(defects[v].adjoint() * defects[v], defects[v])
+        if w is not None:
+            failures.append(RelationFailure(f"T3[{v}]", w.render()))
     if level in (CK, REDUCED, NORMALIZED):
         for v in receiving:
             w = first_witness(defects[v], nothing)

@@ -224,6 +224,12 @@ def test_verify_kappa_flag_validation(files, capsys):
         ["verify", files["g1"], "--rep=twisted", "--level=tck", "--kappa=e:bad"],
     )
     assert code == 2
+    # a repeated edge is refused, not overwritten by its last turn
+    code, out, err = _run(
+        capsys,
+        ["verify", files["g1"], "--rep=twisted", "--level=reduced", "--kappa=e:1/3,e:1/4"],
+    )
+    assert code == 2 and not out and "'e'" in err and "twice" in err
 
 
 def test_expect_examples(files, capsys):

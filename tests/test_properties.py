@@ -1,9 +1,11 @@
 """Property-based invariants over randomly generated graphs and paths."""
 
 import itertools
+import time
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graphck import (
     Graph,
@@ -27,6 +29,7 @@ from graphck import (
 )
 from graphck import (
     REDUCED,
+    TCK,
     Phase,
     WorkBudgetError,
     basis_elements,
@@ -44,6 +47,7 @@ from graphck import (
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
 from graphck.reps import LEVELS, _test_vectors
+from corpus import BUDGET_GRAPH, layered_graph
 from oracles import (
     cofinal_oracle,
     maximal_tails_oracle,
@@ -299,3 +303,23 @@ def test_verify_relations_matches_the_scan(g, k, extra):
             depth = min_verification_depth(g, level) + (extra or 0)
             assert report_tuple(verify_relations(rep, level, depth, fam)) == report_tuple(
                 verify_relations_oracle(rep, level, depth, fam)), (rep.kind, level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_vertices=9, max_edges=24))
+@example(layered_graph(12))
+@example(layered_graph(18))
+@example(parse_graph(BUDGET_GRAPH))
+def test_passing_toeplitz_reports_build_no_test_set(g):
+    """The Toeplitz family is a TCK family, and ``operator_equal`` decides its
+    T1-T3 with no test set: under a zero work budget any witness search would
+    raise.  The drawn graphs reach far past ORACLE_VECTORS, and the explicit
+    examples have default-depth test sets of 10^5 vectors and more."""
+    tg = toeplitz_graph(g)
+    fam = toeplitz_family(tg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("graphck.reps.WORK_BUDGET", 0)
+        started = time.perf_counter()
+        for rep in (left_regular(tg.graph), boundary(tg.graph)):
+            assert verify_relations(rep, TCK, family=fam).passed, rep.kind
+        assert time.perf_counter() - started < 2.0

@@ -184,18 +184,26 @@ def test_witness_search_stops_at_the_least_witness(monkeypatch):
     the test set, so the search generates nothing past it; a search that
     needs more than WORK_BUDGET paths and vectors is refused."""
     g = layered_graph(18)
-    n = len(g.vertices)
+    n, budget = len(g.vertices), reps.WORK_BUDGET
     monkeypatch.setattr(reps, "WORK_BUDGET", n)
     report = verify_relations(left_regular(g), CK)
     assert [f.witness for f in report.failures] == [f"@{v}" for v in g.vertices if g.in_edges(v)]
     monkeypatch.setattr(reps, "WORK_BUDGET", n - 1)
     with pytest.raises(WorkBudgetError, match=f"more than {n - 1} paths"):
         verify_relations(left_regular(g), CK)
-    # a custom family scans the whole test set for T3, even when it holds
-    tg = toeplitz_graph(g1_loop())
+    # a custom family whose T1[a] fails first on the path gamma, behind the
+    # thousands of shorter left-regular test vectors
+    gamma = g.path(["e01xa"] + [f"e{k:02d}xx" for k in range(2, 9)])
+    fam = canonical_family(g)
+    s_gamma = path_isometry(g, gamma)
+    bent = GeneratorFamily(g, {**fam.p, "a": fam.p["a"] + s_gamma * s_gamma.adjoint()}, fam.s)
+    monkeypatch.setattr(reps, "WORK_BUDGET", budget)
+    report = verify_relations(left_regular(g), TCK, family=bent)
+    assert [(f.relation, f.witness) for f in report.failures] == [("T1[a]", gamma.render())]
+    assert verify_relations(left_regular(g), TCK, depth=len(gamma) - 1, family=bent).passed
     monkeypatch.setattr(reps, "WORK_BUDGET", 1000)
-    with pytest.raises(WorkBudgetError, match="depth-2000"):
-        verify_relations(left_regular(tg.graph), TCK, depth=2000, family=toeplitz_family(tg))
+    with pytest.raises(WorkBudgetError, match="more than 1000 paths"):
+        verify_relations(left_regular(g), TCK, family=bent)
     # the budget bounds only the witness search: passing relations build nothing
     monkeypatch.setattr(reps, "WORK_BUDGET", 0)
     assert verify_relations(boundary(g), CK).passed
@@ -302,6 +310,36 @@ def test_custom_families_still_check_the_toeplitz_relations():
                     verify_relations_oracle(rep, level, family=broken)), (name, rep.kind, level)
                 failed = {f.relation.split("[")[0] for f in report.failures}
                 assert {"T1", "T2", "T3"} <= failed, (name, rep.kind, level)
+
+
+def _two_edge_family(scale):
+    """Over F = (u, v; a, b: u -> v), the index E = (e: u -> v) with q = p
+    and t_e = scale * (s_a + s_b): the CK defect at v is not diagonal in the
+    path or boundary basis, and it is the projection
+    1/2 (s_a - s_b)(s_a - s_b)^* when scale is 1/sqrt 2."""
+    f = Graph(["u", "v"], [("a", "u", "v"), ("b", "u", "v")])
+    t = path_isometry(f, f.path(["a"])) + path_isometry(f, f.path(["b"]))
+    return f, GeneratorFamily(Graph(["u", "v"], [("e", "u", "v")]), canonical_family(f).p,
+                              {"e": t.scaled(scale)})
+
+
+def test_toeplitz_projection_relation_asks_for_a_projection():
+    """T3 holds when the defect is a projection, diagonal in the basis or not,
+    and fails with the oracle's witness when it is not one."""
+    root_half = exact.PolarCoeff(Fraction(1, 2), Fraction(1, 8)) + exact.PolarCoeff(Fraction(1, 2), Fraction(-1, 8))
+    assert exact.mul(root_half, root_half) == exact.rational(Fraction(1, 2))
+    f, fam = _two_edge_family(root_half)
+    d = ck_defect(fam, "v")
+    assert not d.is_zero and operator_equal(left_regular(f), d.adjoint() * d, d)
+    for rep in (left_regular(f), boundary(f)):
+        report = verify_relations(rep, TCK, family=fam)
+        assert report.passed, rep.kind
+        assert report_tuple(report) == report_tuple(verify_relations_oracle(rep, TCK, family=fam))
+    f, fam = _two_edge_family(1)
+    for rep, witness in ((left_regular(f), "a"), (boundary(f), "a|.")):
+        report = verify_relations(rep, TCK, family=fam)
+        assert ("T3[v]", witness) in [(x.relation, x.witness) for x in report.failures], rep.kind
+        assert report_tuple(report) == report_tuple(verify_relations_oracle(rep, TCK, family=fam))
 
 
 def test_extract_kappa_rejects_left_regular():
