@@ -18,13 +18,11 @@ from .algebra import (
     ck_defect,
     diag_expectation,
     element_w_normal_form,
-    ideal_span_pairs,
     is_w_path,
     monomial,
     path_isometry,
     vertex_projection,
     w_normal_form,
-    w_paths,
     zero,
 )
 from .boundary import (
@@ -45,7 +43,6 @@ from .cycles import (
     canonical_cutting_set,
     canonical_rotation,
     class_of_edge,
-    cutting_sets,
     cycle_class,
     entrance_free_classes,
     has_entrance_in,
@@ -73,7 +70,6 @@ from .graph import (
     enumerate_paths,
     is_cofinal,
     parse_graph,
-    paths_up_to,
     reach_map,
     reachability,
     sources,
@@ -94,7 +90,6 @@ from .reps import (
     Representation,
     WorkBudgetError,
     apply,
-    basis_elements,
     boundary,
     extract_kappa,
     left_regular,

@@ -19,10 +19,9 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import exact
-from .boundary import BoundaryPath
 from .cycles import entrance_free_classes
 from .exact import COMPLEX, EXACT
-from .graph import Graph, GraphError, Path, enumerate_paths, path_key
+from .graph import Graph, GraphError, Path, path_key
 
 
 def term_key(key: tuple[Path, Path]):
@@ -261,11 +260,6 @@ def is_w_path(g: Graph, p: Path) -> bool:
     return w_normal_form(g, p) == p
 
 
-def w_paths(g: Graph, max_len: int) -> list[Path]:
-    """All W-paths (no trailing entrance-free cycle) of length <= max_len."""
-    return [p for p in enumerate_paths(g, max_len) if is_w_path(g, p)]
-
-
 def element_w_normal_form(g: Graph, a: AlgebraElement) -> AlgebraElement:
     """Rewrite every key to W-normal form, combining like terms.
 
@@ -287,19 +281,3 @@ def diagonal(a: AlgebraElement) -> AlgebraElement:
 def diag_expectation(g: Graph, a: AlgebraElement) -> AlgebraElement:
     """The diagonal compression: W-normalise, then keep keys with alpha == beta."""
     return diagonal(element_w_normal_form(g, a))
-
-
-def ideal_span_pairs(g: Graph, x: BoundaryPath, depth: int) -> list[tuple[Path, Path]]:
-    """Key pairs spanning the ideal attached to a boundary path: all
-    (alpha, beta) of length <= depth with common source on x's vertex set."""
-    limit = len(x.prefix.edges) + (len(x.period.edges) if x.period else 0)
-    verts = sorted({x.vertex_at(n) for n in range(limit + 1)})
-    by_source: dict[str, list[Path]] = {}
-    for p in enumerate_paths(g, depth):
-        by_source.setdefault(p.source, []).append(p)
-    pairs: list[tuple[Path, Path]] = []
-    for w in verts:
-        for alpha in by_source.get(w, []):
-            for beta in by_source.get(w, []):
-                pairs.append((alpha, beta))
-    return pairs

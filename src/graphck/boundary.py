@@ -9,8 +9,12 @@ with equality of the represented paths.
 
 Aperiodic infinite paths are not first-class values: every bounded prefix of
 a boundary path of a finite graph is realized by a finite or eventually
-periodic member of ``boundary_set``, and all operators in scope rewrite
-bounded prefixes only, so these test sets decide operator equality.  The
+periodic test vector, and all operators in scope rewrite bounded prefixes
+only, so an operator identity that fails on the boundary fails on a test
+vector of large enough depth.  ``vector_layers`` lists those test vectors
+lazily on the one path grower ``graph.path_layers``; operator equality itself
+is decided in closed form (``reps.operator_equal``), and the test sets serve
+only the search for the least witness of a relation that fails.  The
 omega variant keeps only entrance-free periods; ``omega_supported`` reports
 whether that restricted basis still reaches every vertex.  A vertex that
 misses one of the graph's bottoms (``graph.bottoms``) witnesses
@@ -24,16 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cycles import component_cycle, entrance_free_classes, rotations, simple_cycles
-from .graph import (
-    Graph,
-    GraphError,
-    Path,
-    bottoms,
-    enumerate_paths,
-    path_key,
-    reach_map,
-    sources,
-)
+from .graph import Graph, GraphError, Path, bottoms, path_key, path_layers, reach_map, sources
 
 
 class ShiftExhausted(GraphError):
@@ -167,40 +162,39 @@ def prepend(p: Path, x: BoundaryPath) -> BoundaryPath:
     return canonicalize(p.concat(x.prefix), x.period)
 
 
+def vector_layers(g: Graph, depth: int, omega: bool = False):
+    """The boundary test set of ``depth``, one sorted layer at a time, each
+    with the number of paths and vectors generated for it: finite paths from
+    the sources by length, then the canonical pairs (prefix, period) by
+    prefix length, with every rotation of a simple cycle as period (on omega,
+    of an entrance-free one).  A non-canonical pair canonicalizes to one with
+    a shorter prefix, so these are the canonical forms of all pairs with
+    prefix length <= depth; the set is closed under shift."""
+    for layer in path_layers(g, sources(g), depth):
+        yield map(BoundaryPath, layer), len(layer)
+    if omega:
+        periods = [rot for cls in entrance_free_classes(g) for rot in cls.members]
+    else:
+        periods = [rot for c in simple_cycles(g) for rot in rotations(c)]
+    at: dict[str, list[Path]] = {}
+    for per in periods:
+        at.setdefault(per.range, []).append(per)
+    for layer in path_layers(g, at, depth):  # grown at the range end, so sources stay
+        vectors = [BoundaryPath(p, per) for p in layer for per in at[p.source]
+                   if p.is_empty or p.edges[-1] != per.edges[-1]]  # canonical pairs only
+        yield sorted(vectors, key=BoundaryPath.sort_key), len(layer) + len(vectors)
+
+
 @lru_cache(maxsize=None)
 def boundary_set(g: Graph, depth: int) -> tuple[BoundaryPath, ...]:
-    """Finite boundary paths of length <= depth plus all eventually periodic
-    paths with prefix length <= depth and simple-cycle period.
-
-    The result is closed under shift and deterministically ordered.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    out: set[BoundaryPath] = set()
-    paths = enumerate_paths(g, depth)
-    src = set(sources(g))
-    for p in paths:
-        if p.source in src:
-            out.add(BoundaryPath(p))
-    rotated = [rot for c in simple_cycles(g) for rot in rotations(c)]
-    for per in rotated:
-        for p in paths:
-            if p.source == per.range:
-                out.add(canonicalize(p, per))
-    return tuple(sorted(out, key=BoundaryPath.sort_key))
+    """The boundary test set of ``depth`` (``vector_layers``) as one tuple."""
+    return tuple(x for layer, _ in vector_layers(g, depth) for x in layer)
 
 
 @lru_cache(maxsize=None)
 def omega_set(g: Graph, depth: int) -> tuple[BoundaryPath, ...]:
-    """boundary_set filtered to finite paths and entrance-free periods."""
-    efree = {cls.representative.edges for cls in entrance_free_classes(g)}
-
-    def keep(x: BoundaryPath) -> bool:
-        if x.period is None:
-            return True
-        return min(rot.edges for rot in rotations(x.period)) in efree
-
-    return tuple(x for x in boundary_set(g, depth) if keep(x))
+    """The omega test set of ``depth`` (``vector_layers``) as one tuple."""
+    return tuple(x for layer, _ in vector_layers(g, depth, omega=True) for x in layer)
 
 
 def omega_supported(g: Graph) -> bool:

@@ -25,7 +25,6 @@ from .reps import (
     boundary,
     extract_kappa,
     left_regular,
-    min_verification_depth,
     omega,
     twisted_boundary,
     verify_relations,
@@ -190,10 +189,7 @@ def _cmd_verify(args) -> int:
             BOUNDARY: boundary,
             OMEGA: omega,
         }[args.rep](g)
-    depth = args.depth
-    if depth is None:
-        depth = min_verification_depth(g, args.level) + len(g.vertices)
-    report = verify_relations(rep, args.level, depth)
+    report = verify_relations(rep, args.level, args.depth)
     result = {
         "rep": args.rep,
         "level": report.level,

@@ -14,7 +14,6 @@ component on its own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,14 +157,6 @@ def entrance_free_classes(g: Graph) -> tuple[CycleClass, ...]:
     return tuple(
         sorted(classes, key=lambda c: (len(c.representative.edges), c.representative.edges))
     )
-
-
-def cutting_sets(g: Graph) -> list[tuple[str, ...]]:
-    """Every choice of one edge per entrance-free class, sorted."""
-    classes = entrance_free_classes(g)
-    pools = [sorted(cls.edge_set) for cls in classes]
-    out = [tuple(sorted(choice)) for choice in itertools.product(*pools)]
-    return sorted(out)
 
 
 def canonical_cutting_set(g: Graph) -> tuple[str, ...]:

@@ -293,45 +293,27 @@ def reachability(g: Graph) -> frozenset[tuple[str, str]]:
     return frozenset((v, w) for v in g.vertices for w in rm[v])
 
 
-def paths_up_to(g: Graph, v: str, bound: int, mode: str = "boundary") -> list[Path]:
-    """Paths with range v, bounded by ``bound``.
-
-    ``boundary`` mode returns the depth-``bound`` expansion family: paths of
-    length exactly ``bound`` together with shorter ones stopping at a source.
-    ``all`` mode returns every path of length <= ``bound``.
+def path_layers(g: Graph, starts: Iterable[str], depth: int):
+    """Every path with source in ``starts`` and length <= depth, one
+    ``path_key``-sorted list per length, shortest first.  Paths grow at the
+    range end, so every path keeps its source; growth stops at the first
+    empty layer.  This is the one path grower: every test set is built on it.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if mode not in ("boundary", "all"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not g.has_vertex(v):
-        raise GraphError(f"unknown vertex {v!r}")
-    out: list[Path] = []
-    stack: list[Path] = [g.empty_path(v)]
-    while stack:
-        p = stack.pop()
-        if mode == "all" or len(p) == bound or not g.in_edges(p.source):
-            out.append(p)
-        if len(p) < bound:
-            for e in g.in_edges(p.source):
-                stack.append(p.concat(g.edge_path(e)))
-    return sorted(out, key=path_key)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    layer = sorted((g.empty_path(v) for v in starts), key=path_key)
+    for n in range(depth + 1):
+        if n:
+            layer = sorted((g.edge_path(e).concat(p) for p in layer
+                            for e in g.out_edges(p.range)), key=path_key)
+        if not layer:
+            return
+        yield layer
 
 
 def enumerate_paths(g: Graph, max_len: int) -> list[Path]:
-    """All paths of length <= max_len, any range, in deterministic order."""
-    out: list[Path] = [g.empty_path(v) for v in g.vertices]
-    layer: list[Path] = list(out)
-    for _ in range(max_len):
-        nxt: list[Path] = []
-        for p in layer:
-            for e in g.in_edges(p.source):
-                nxt.append(p.concat(g.edge_path(e)))
-        if not nxt:
-            break
-        out.extend(nxt)
-        layer = nxt
-    return sorted(out, key=path_key)
+    """All paths of length <= max_len, any range, in ``path_key`` order."""
+    return [p for layer in path_layers(g, g.vertices, max_len) for p in layer]
 
 
 @lru_cache(maxsize=None)

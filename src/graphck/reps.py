@@ -56,23 +56,10 @@ from .algebra import (
     ck_defect,
     w_normal_form,
 )
-from .boundary import (
-    BoundaryPath,
-    boundary_set,
-    omega_set,
-    omega_supported,
-    prepend,
-)
-from .cycles import (
-    class_of_edge,
-    entrance_free_classes,
-    is_cutting_set,
-    is_cycle,
-    rotations,
-    simple_cycles,
-)
+from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
+from .cycles import class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
 from .exact import COMPLEX, EXACT, Phase, as_phase
-from .graph import Graph, GraphError, Path, enumerate_paths, path_key, sources
+from .graph import Graph, GraphError, Path, path_layers
 from .transform import GeneratorRescaling, rational_phase, twist
 
 LEFT_REGULAR = "left-regular"
@@ -154,16 +141,6 @@ def twisted_boundary(g: Graph, kappa, cutting_set=None) -> Representation:
             raise GraphError(f"kappa[{e}] is not a unit: {v}")
         phases[e] = v
     return Representation(TWISTED, g, phases, chosen, COMPLEX)
-
-
-def basis_elements(rep: Representation, depth: int):
-    """The test set of ``depth``, built eagerly: paths of length <= depth on
-    the left-regular basis, ``omega_set`` or ``boundary_set`` otherwise."""
-    if rep.kind == LEFT_REGULAR:
-        return tuple(enumerate_paths(rep.graph, depth))
-    if rep.kind == OMEGA:
-        return omega_set(rep.graph, depth)
-    return boundary_set(rep.graph, depth)
 
 
 def _check_basis(rep: Representation, x) -> None:
@@ -261,53 +238,23 @@ def min_verification_depth(index: Graph, level: str) -> int:
 
 
 def _test_vectors(rep: Representation, depth: int):
-    """The test set ``basis_elements(rep, depth)``, generated lazily one
-    length layer at a time in the same sorted order: finite paths by length,
-    then periodic ones by prefix length.  Raises WorkBudgetError once the
+    """The test set of ``depth``, generated lazily one length layer at a time
+    in its sorted order: paths by length on the left-regular basis; finite
+    boundary paths by length, then periodic ones by prefix length
+    (``boundary.vector_layers``) otherwise.  Raises WorkBudgetError once the
     paths and vectors generated pass ``WORK_BUDGET``."""
     g = rep.graph
+    if rep.kind == LEFT_REGULAR:
+        layers = ((layer, len(layer)) for layer in path_layers(g, g.vertices, depth))
+    else:
+        layers = vector_layers(g, depth, omega=rep.kind == OMEGA)
     work = 0
-
-    def counted(items):
-        nonlocal work
-        work += len(items)
+    for layer, generated in layers:
+        work += generated
         if work > WORK_BUDGET:
             raise WorkBudgetError(f"a witness search in the depth-{depth} test set generated more "
                                   f"than {WORK_BUDGET} paths and vectors; lower --depth")
-        return items
-
-    def layers(starts, grow):
-        layer = sorted(starts, key=path_key)
-        for n in range(depth + 1):
-            if n:
-                layer = sorted((q for p in layer for q in grow(p)), key=path_key)
-            if not layer:
-                return
-            yield counted(layer)
-
-    if rep.kind == LEFT_REGULAR:
-        def back(p):
-            return [p.concat(g.edge_path(e)) for e in g.in_edges(p.source)]
-        for layer in layers([g.empty_path(v) for v in g.vertices], back):
-            yield from layer
-        return
-
-    def ahead(p):  # paths grow at the range end, so every layer keeps its sources
-        return [g.edge_path(e).concat(p) for e in g.out_edges(p.range)]
-
-    for layer in layers([g.empty_path(v) for v in sources(g)], ahead):
-        yield from (BoundaryPath(p) for p in layer)
-    if rep.kind == OMEGA:
-        periods = [rot for cls in entrance_free_classes(g) for rot in cls.members]
-    else:
-        periods = [rot for c in simple_cycles(g) for rot in rotations(c)]
-    at: dict[str, list[Path]] = {}
-    for per in periods:
-        at.setdefault(per.range, []).append(per)
-    for layer in layers([g.empty_path(v) for v in at], ahead):
-        vectors = [BoundaryPath(p, per) for p in layer for per in at[p.source]
-                   if p.is_empty or p.edges[-1] != per.edges[-1]]  # canonical pairs only
-        yield from sorted(counted(vectors), key=BoundaryPath.sort_key)
+        yield from layer
 
 
 def _least_witness(rep: Representation, depth: int, fails):

@@ -2,15 +2,22 @@
 
 Everything here is deliberately written from the raw graph accessors only
 (in_edges / source_of), with its own searches, so that agreement with the
-library is a genuine two-route check rather than a tautology.  The one
-exception is ``test_set_equal_oracle``, the operator-equality scan over the
-canonical test set that the closed-form route replaced, together with the
-two other routes that production code no longer takes: ``deep_walk_equal``
-(seeded random walks) and ``verify_relations_oracle`` (the relation check by
-a scan of the whole test set).  Two more replaced routes close the file:
-``minimal_oracle``, the least cyclotomic level by one linear elimination per
-divisor, and ``parse_element_oracle``, which parses an expression one
-element per generator.
+library is a genuine two-route check rather than a tautology.  The
+exceptions are routes that production code no longer takes.  The eager
+test sets come first: ``enumerate_paths_oracle``,
+``boundary_set_oracle`` and ``omega_set_oracle`` build each test set whole,
+canonicalise it and sort it once, where the library grows it lazily one
+layer at a time (``graph.path_layers``); ``basis_elements`` picks the set of
+a representation, and ``paths_up_to``, ``w_paths``, ``ideal_span_pairs`` and
+``cutting_sets`` list the path families that the tests read.  Then come
+``test_set_equal_oracle``, the operator-equality scan over the canonical
+test set that the closed-form route replaced, and the two other replaced
+routes: ``deep_walk_equal`` (seeded random walks) and
+``verify_relations_oracle`` (the relation check by a scan of the whole test
+set).  Two more replaced routes close the file: ``minimal_oracle``, the least
+cyclotomic level by one linear elimination per divisor, and
+``parse_element_oracle``, which parses an expression one element per
+generator.
 """
 
 from __future__ import annotations
@@ -36,12 +43,12 @@ from graphck import (
     RelationFailure,
     RelationReport,
     apply,
-    basis_elements,
     canonical_family,
     canonicalize,
     ck_defect,
     entrance_free_classes,
     exact,
+    is_w_path,
     min_verification_depth,
     rotations,
     simple_cycles,
@@ -55,6 +62,76 @@ from graphck.reps import LEVELS, combos_equal
 
 DEEP_WALK_SEED = 101
 DEEP_WALK_COUNT = 200
+
+
+@lru_cache(maxsize=None)
+def enumerate_paths_oracle(g: Graph, max_len: int) -> tuple:
+    """Every path of length <= max_len: grown at the source end from the
+    empty path at each vertex, then sorted once by ``path_key``."""
+    out = layer = [g.empty_path(v) for v in g.vertices]
+    for _ in range(max_len):
+        layer = [p.concat(g.edge_path(e)) for p in layer for e in g.in_edges(p.source)]
+        out = out + layer
+    return tuple(sorted(out, key=path_key))
+
+
+@lru_cache(maxsize=None)
+def boundary_set_oracle(g: Graph, depth: int) -> tuple:
+    """Finite paths of length <= depth from a source, plus the canonical form
+    of every pair (path of length <= depth, rotation of a simple cycle at its
+    source), as a set sorted once by ``BoundaryPath.sort_key``."""
+    paths = enumerate_paths_oracle(g, depth)
+    out = {BoundaryPath(p) for p in paths if not g.in_edges(p.source)}
+    for per in (rot for c in simple_cycles(g) for rot in rotations(c)):
+        out.update(canonicalize(p, per) for p in paths if p.source == per.range)
+    return tuple(sorted(out, key=BoundaryPath.sort_key))
+
+
+@lru_cache(maxsize=None)
+def omega_set_oracle(g: Graph, depth: int) -> tuple:
+    """``boundary_set_oracle`` kept to finite paths and entrance-free periods."""
+    efree = {rot.edges for cls in entrance_free_classes(g) for rot in cls.members}
+    return tuple(x for x in boundary_set_oracle(g, depth)
+                 if x.period is None or x.period.edges in efree)
+
+
+def basis_elements(rep, depth: int) -> tuple:
+    """The test set of ``depth`` on the basis of ``rep``, built eagerly."""
+    if rep.kind == LEFT_REGULAR:
+        return enumerate_paths_oracle(rep.graph, depth)
+    if rep.kind == OMEGA:
+        return omega_set_oracle(rep.graph, depth)
+    return boundary_set_oracle(rep.graph, depth)
+
+
+def paths_up_to(g: Graph, v: str, bound: int) -> list:
+    """The CK expansion family of p_v at ``bound``: the paths with range v of
+    length exactly ``bound``, with the shorter ones that stop at a source."""
+    return [p for p in enumerate_paths_oracle(g, bound)
+            if p.range == v and (len(p) == bound or not g.in_edges(p.source))]
+
+
+def w_paths(g: Graph, max_len: int) -> list:
+    """All W-paths (no trailing entrance-free cycle) of length <= max_len."""
+    return [p for p in enumerate_paths_oracle(g, max_len) if is_w_path(g, p)]
+
+
+def ideal_span_pairs(g: Graph, x: BoundaryPath, depth: int) -> list:
+    """Key pairs spanning the ideal attached to a boundary path: all
+    (alpha, beta) of length <= depth with common source on x's vertex set."""
+    limit = len(x.prefix.edges) + (len(x.period.edges) if x.period else 0)
+    verts = sorted({x.vertex_at(n) for n in range(limit + 1)})
+    by_source: dict[str, list] = {}
+    for p in enumerate_paths_oracle(g, depth):
+        by_source.setdefault(p.source, []).append(p)
+    return [(alpha, beta) for w in verts
+            for alpha in by_source.get(w, []) for beta in by_source.get(w, [])]
+
+
+def cutting_sets(g: Graph) -> list:
+    """Every choice of one edge per entrance-free class, sorted."""
+    pools = [sorted(cls.edge_set) for cls in entrance_free_classes(g)]
+    return sorted(tuple(sorted(choice)) for choice in itertools.product(*pools))
 
 
 def simple_cycles_oracle(g: Graph) -> list:

@@ -23,12 +23,10 @@ from graphck import (
     boundary,
     boundary_set,
     canonical_cutting_set,
-    cutting_sets,
     diag_expectation,
     entrance_free_classes,
     enumerate_paths,
     extract_kappa,
-    ideal_span_pairs,
     is_cofinal,
     left_regular,
     maximal_tails,
@@ -45,12 +43,20 @@ from graphck import (
     twisted_boundary,
     verify_relations,
     vertex_projection,
-    w_paths,
     zero,
 )
 from graphck import apply as rep_apply
 from corpus import CORPUS, g1_loop, kernel_elements, random_element, random_graphs
-from oracles import cofinal_oracle, deep_walk_equal, report_tuple, test_set_equal_oracle, verify_relations_oracle
+from oracles import (
+    cofinal_oracle,
+    cutting_sets,
+    deep_walk_equal,
+    ideal_span_pairs,
+    report_tuple,
+    test_set_equal_oracle,
+    verify_relations_oracle,
+    w_paths,
+)
 
 PAIRS_PER_GRAPH = 1000
 

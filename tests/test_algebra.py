@@ -18,11 +18,11 @@ from graphck import (
     path_isometry,
     vertex_projection,
     w_normal_form,
-    w_paths,
     zero,
 )
 from graphck import exact
 from corpus import CORPUS, g1_loop, g2_cyc2, g3_ent, random_element
+from oracles import w_paths
 
 
 def _pools(g, max_len=2):

@@ -117,6 +117,12 @@ def test_omega_set_examples():
     assert {x.render() for x in omega_set(g4_line(), 2)} == {"@w|.", "e|."}
 
 
+def test_test_sets_reject_negative_depth():
+    for build in (boundary_set, omega_set):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build(g2_cyc2(), -1)
+
+
 def test_omega_closure_under_shift_matching():
     # if sigma^m(x) = sigma^n(y) for omega x and boundary y, then y is omega
     for _, g in CORPUS:

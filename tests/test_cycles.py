@@ -6,7 +6,6 @@ from graphck import (
     canonical_cutting_set,
     canonical_rotation,
     class_of_edge,
-    cutting_sets,
     cycle_class,
     entrance_free_classes,
     has_entrance_in,
@@ -17,7 +16,7 @@ from graphck import (
     simple_cycles,
 )
 from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph, random_graphs
-from oracles import simple_cycles_oracle
+from oracles import cutting_sets, simple_cycles_oracle
 
 
 def test_simple_cycles_examples():

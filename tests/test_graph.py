@@ -4,15 +4,15 @@ from graphck import (
     Graph,
     GraphError,
     GraphParseError,
+    enumerate_paths,
     is_cofinal,
     parse_graph,
-    paths_up_to,
     reachability,
     sources,
     strongly_connected_components,
 )
 from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line
-from oracles import cofinal_oracle
+from oracles import cofinal_oracle, enumerate_paths_oracle, paths_up_to
 
 
 G1_TEXT = """\
@@ -124,7 +124,7 @@ def test_reachability_matches_path_enumeration():
         rel = reachability(g)
         bound = len(g.vertices)
         for v in g.vertices:
-            with_source = {p.source for p in paths_up_to(g, v, bound, mode="all")}
+            with_source = {p.source for p in enumerate_paths_oracle(g, bound) if p.range == v}
             assert with_source == {w for (x, w) in rel if x == v}
 
 
@@ -146,6 +146,11 @@ def test_paths_up_to_boundary_family_is_prefix_free_and_covering():
             # every maximal path of length >= bound extends exactly one member
             for long in paths_up_to(g, v, bound + 2):
                 assert sum(1 for p in fam if long.starts_with(p)) == 1
+
+
+def test_enumerate_paths_rejects_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        enumerate_paths(g2_cyc2(), -1)
 
 
 def test_scc_examples():

@@ -13,12 +13,12 @@ from graphck import (
     boundary_set,
     canonical_rotation,
     canonicalize,
-    cutting_sets,
     cycle_class,
     entrance_free_classes,
     has_entrance_in,
     is_cofinal,
     maximal_tails,
+    omega_set,
     parse_graph,
     prepend,
     reduced_graph,
@@ -32,7 +32,6 @@ from graphck import (
     TCK,
     Phase,
     WorkBudgetError,
-    basis_elements,
     boundary,
     canonical_cutting_set,
     left_regular,
@@ -49,8 +48,13 @@ from graphck.graph import enumerate_paths
 from graphck.reps import LEVELS, _test_vectors
 from corpus import BUDGET_GRAPH, layered_graph
 from oracles import (
+    basis_elements,
+    boundary_set_oracle,
     cofinal_oracle,
+    cutting_sets,
+    enumerate_paths_oracle,
     maximal_tails_oracle,
+    omega_set_oracle,
     report_tuple,
     simple_cycles_oracle,
     tail_triples,
@@ -261,8 +265,13 @@ def _reps(g, turn):
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_edges=7), st.integers(0, 11), st.integers(0, 4))
 def test_lazy_test_vectors_match_the_test_set(g, k, depth):
+    """Every test set grown layer by layer from ``graph.path_layers`` equals
+    the eager oracle built whole and sorted once, element for element."""
+    assert enumerate_paths(g, depth) == list(enumerate_paths_oracle(g, depth))
+    assert boundary_set(g, depth) == boundary_set_oracle(g, depth)
+    assert omega_set(g, depth) == omega_set_oracle(g, depth)
     for rep in _reps(g, Fraction(k, 12)):
-        assert list(_test_vectors(rep, depth)) == list(basis_elements(rep, depth))
+        assert list(_test_vectors(rep, depth)) == list(basis_elements(rep, depth)), rep.kind
 
 
 # The scan oracle applies every relation to every vector of its test set; a

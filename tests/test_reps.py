@@ -23,7 +23,6 @@ from graphck import (
     WorkBudgetError,
     Phase,
     apply,
-    basis_elements,
     boundary,
     boundary_set,
     canonical_cutting_set,
@@ -34,7 +33,6 @@ from graphck import (
     entrance_free_classes,
     enumerate_paths,
     extract_kappa,
-    ideal_span_pairs,
     ikappa_generators,
     left_regular,
     monomial,
@@ -44,7 +42,6 @@ from graphck import (
     operator_equal,
     parse_graph,
     path_isometry,
-    paths_up_to,
     prepend,
     rescale_family,
     toeplitz_family,
@@ -52,12 +49,19 @@ from graphck import (
     twisted_boundary,
     verify_relations,
     vertex_projection,
-    w_paths,
     zero,
 )
 from graphck import exact, is_cofinal, reps
 from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, layered_graph, random_element
-from oracles import deep_walk_equal, report_tuple, verify_relations_oracle
+from oracles import (
+    basis_elements,
+    deep_walk_equal,
+    ideal_span_pairs,
+    paths_up_to,
+    report_tuple,
+    verify_relations_oracle,
+    w_paths,
+)
 
 
 def _omega_graphs(limit=None):
@@ -223,12 +227,7 @@ def test_cycle_relation_on_the_toeplitz_family_reads_the_twin_projections():
             ("R[e]", witness)], rep.kind
 
 
-def test_passing_reports_build_no_test_set(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a passing report built a test set")
-
-    for name in ("basis_elements", "boundary_set", "omega_set", "_test_vectors"):
-        monkeypatch.setattr(reps, name, refuse)
+def test_passing_reports_build_no_test_set(refuse_test_sets):
     rng = random.Random(12)
     for name, g in CORPUS:
         assert verify_relations(boundary(g), NORMALIZED).passed, name
@@ -239,6 +238,14 @@ def test_passing_reports_build_no_test_set(monkeypatch):
         assert verify_relations(trep, REDUCED).passed, name
         assert verify_relations(rescale_family(trep), NORMALIZED).passed, name
         assert len(extract_kappa(trep)) == len(cut), name
+
+
+def test_witness_search_rejects_negative_depth():
+    g = g2_cyc2()
+    quarter = twisted_boundary(g, {"e1": Phase(Fraction(1, 4))})
+    for rep in (left_regular(g), boundary(g), omega(g), quarter):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            list(reps._test_vectors(rep, -1))
 
 
 def _random_multigraphs(seed, count):

@@ -9,7 +9,6 @@ from graphck import (
     boundary,
     canonical_cutting_set,
     class_phases,
-    cutting_sets,
     cycle_class,
     entrance_free_classes,
     ikappa_generators,
@@ -28,8 +27,8 @@ from graphck import (
     zero,
 )
 from graphck import apply as rep_apply
-from graphck import basis_elements
 from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, random_graphs
+from oracles import basis_elements, cutting_sets
 
 
 def test_toeplitz_graph_g1():
