@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cycles import component_cycle, entrance_free_classes, rotations, simple_cycles
+from .cycles import component_cycle, entrance_free_classes, rotate, rotations, simple_cycles
 from .graph import Graph, GraphError, Path, bottoms, path_key, path_layers, reach_map, sources
 
 
@@ -104,8 +104,7 @@ class BoundaryPath:
             return BoundaryPath(self.prefix.strip_prefix(p))
         if k <= len(self.prefix.edges):
             return BoundaryPath(self.prefix.strip_prefix(p), self.period)
-        j = (k - len(self.prefix.edges)) % len(self.period.edges)
-        rotated = rotations(self.period)[j]
+        rotated = rotate(self.period, k - len(self.prefix.edges))
         return BoundaryPath(Path((), (rotated.range,)), rotated)
 
     def sort_key(self):
@@ -137,11 +136,12 @@ def canonicalize(prefix: Path, period: Path) -> BoundaryPath:
         raise GraphError(f"period is not a cycle: {period}")
     if prefix.source != period.range:
         raise GraphError(f"prefix {prefix} does not compose with period {period}")
-    pre, per = prefix, period
-    while not pre.is_empty and pre.edges[-1] == per.edges[-1]:
-        per = rotations(per)[len(per.edges) - 1]
-        pre = Path(pre.edges[:-1], pre.vertices[:-1])
-    return BoundaryPath(pre, per)
+    # k trailing prefix edges that read the period backwards absorb into it
+    k, n, m = 0, len(period.edges), len(prefix.edges)
+    while k < m and prefix.edges[m - 1 - k] == period.edges[-1 - k % n]:
+        k += 1
+    pre = Path(prefix.edges[: m - k], prefix.vertices[: m - k + 1]) if k else prefix
+    return BoundaryPath(pre, rotate(period, -k))
 
 
 def shift(x: BoundaryPath) -> BoundaryPath:

@@ -204,13 +204,9 @@ def _cmd_verify(args) -> int:
         for cls, value in sorted(
             extract_kappa(rep).items(), key=lambda kv: kv[0].representative.edges
         ):
-            entry = {"class": cls.representative.render()}
-            if isinstance(value, Phase):
-                entry["turn"] = str(value.turn)
-                entry["value"] = from_phase(value).render(polar=True)
-            else:
-                entry["value"] = repr(value)
-            entries.append(entry)
+            # --kappa holds rational turns, so every extracted value is a Phase
+            entries.append({"class": cls.representative.render(), "turn": str(value.turn),
+                            "value": from_phase(value).render(polar=True)})
         result["kappa"] = entries
     _emit(_report("verify", g, result), args.pretty)
     return EXIT_OK if report.passed else EXIT_FAIL

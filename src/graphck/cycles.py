@@ -1,8 +1,10 @@
 """Simple cycles, entrance-free cycle classes, cutting sets.
 
 A cycle is a path mu with range(mu) == source(mu) whose edge sources are
-pairwise distinct.  Its class [mu] collects all cyclic rotations; the class
-is entrance-free when every edge pointing at a cycle vertex is itself a cycle
+pairwise distinct, so its edges are distinct too.  Its class [mu] collects
+all cyclic rotations (each built by ``rotate``) and is named by its least
+rotation by edge ids, the one that starts at its least edge.  The class is
+entrance-free when every edge pointing at a cycle vertex is itself a cycle
 edge.  A cutting set picks exactly one edge from each entrance-free class.
 
 Every cycle lies inside one cyclic strongly connected component, so the cycle
@@ -40,20 +42,25 @@ def check_cycle(p: Path) -> Path:
     return p
 
 
+def rotate(cycle: Path, k: int) -> Path:
+    """The rotation of a closed path that starts at its edge k (mod its length)."""
+    k %= len(cycle.edges)
+    if not k:
+        return cycle
+    return Path(cycle.edges[k:] + cycle.edges[:k], cycle.vertices[k:] + cycle.vertices[1 : k + 1])
+
+
 def rotations(cycle: Path) -> list[Path]:
     """All cyclic rotations of a cycle, as paths."""
-    n = len(cycle.edges)
-    out = []
-    for k in range(n):
-        edges = cycle.edges[k:] + cycle.edges[:k]
-        vertices = cycle.vertices[k:] + cycle.vertices[1 : k + 1]
-        out.append(Path(edges, vertices))
-    return out
+    return [rotate(cycle, k) for k in range(len(cycle.edges))]
 
 
 def canonical_rotation(cycle: Path) -> Path:
-    """The lexicographically least rotation by edge ids; fixes report order."""
-    return min(rotations(cycle), key=lambda p: p.edges)
+    """The least rotation by edge ids, which fixes report order.  The edges of
+    a simple cycle are distinct, so it is the rotation that starts at the
+    least edge; a path that is not a simple cycle raises GraphError."""
+    check_cycle(cycle)
+    return rotate(cycle, cycle.edges.index(min(cycle.edges)))
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,9 @@ class CycleClass:
 
 
 def cycle_class(cycle: Path) -> CycleClass:
-    check_cycle(cycle)
-    rots = rotations(cycle)
-    rep = min(rots, key=lambda p: p.edges)
     return CycleClass(
-        representative=rep,
-        members=tuple(sorted(rots, key=path_key)),
+        representative=canonical_rotation(cycle),
+        members=tuple(sorted(rotations(cycle), key=path_key)),
         vertex_set=frozenset(cycle.vertices[1:]),
         edge_set=frozenset(cycle.edges),
     )
@@ -91,22 +95,18 @@ def simple_cycles(g: Graph) -> tuple[Path, ...]:
     found: list[Path] = []
     for comp in cyclic_components(g):
         for root in sorted(comp):
-            # stack entries: (edges so far, current source vertex, blocked vertices)
-            stack: list[tuple[tuple[str, ...], str, frozenset[str]]] = [
-                ((), root, frozenset({root}))
-            ]
+            # stack entries: the path so far, as its edges and its vertices
+            stack = [((), (root,))]
             while stack:
-                edges, cur, blocked = stack.pop()
-                for e in g.in_edges(cur):
+                edges, vertices = stack.pop()
+                for e in g.in_edges(vertices[-1]):
                     w = g.source_of(e)
                     if w == root:
-                        found.append(canonical_rotation(g.path(edges + (e,))))
+                        found.append(canonical_rotation(Path(edges + (e,), vertices + (w,))))
                         if len(found) > CYCLE_GUARD:
-                            raise CycleCountError(
-                                f"more than {CYCLE_GUARD} simple cycles; aborting"
-                            )
-                    elif w > root and w in comp and w not in blocked:
-                        stack.append((edges + (e,), w, blocked | {w}))
+                            raise CycleCountError(f"more than {CYCLE_GUARD} simple cycles; aborting")
+                    elif w > root and w in comp and w not in vertices:
+                        stack.append((edges + (e,), vertices + (w,)))
     return tuple(sorted(found, key=path_key))
 
 
@@ -182,12 +182,6 @@ def class_of_edge(g: Graph, x: str) -> CycleClass:
 
 def mu_lambda(g: Graph, x: str) -> tuple[Path, Path]:
     """The rotation mu(x) starting with x, and lambda(x) with mu(x) = x lambda(x)."""
-    cls = class_of_edge(g, x)
-    for rot in cls.members:
-        if rot.edges[0] == x:
-            mu = rot
-            break
-    else:  # pragma: no cover - classes always contain each edge once
-        raise GraphError(f"edge {x!r} missing from its class")
-    lam = Path(mu.edges[1:], mu.vertices[1:])
-    return mu, lam
+    rep = class_of_edge(g, x).representative
+    mu = rotate(rep, rep.edges.index(x))
+    return mu, Path(mu.edges[1:], mu.vertices[1:])

@@ -283,7 +283,9 @@ def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: in
     if gamma is not None:
         x = BoundaryPath(g.empty_path(gamma.range), gamma)
         out = apply(rep, elem, x)
-        if list(out) == [x] and operator_equal(rep, elem, at_range.scaled(out[x])):
+        # out[x] comes from the representation, not a caller: it may be inexact on an exact family
+        if list(out) == [x] and operator_equal(
+                rep, elem, at_range.map_coefficients(lambda c: exact.mul(out[x], c))):
             return None, out[x]  # c x = s_mu x = c p_{r(mu)} x, so p_{r(mu)} fixes x
     scalar = None
     for x in _test_vectors(rep, depth):
@@ -423,11 +425,6 @@ def rescale_family(rep: Representation) -> Representation:
     extracted = extract_kappa(rep)
     new_kappa = {}
     for x, ph in rep.kappa.items():
-        kc = extracted[class_of_edge(rep.graph, x)]
-        if isinstance(ph, Phase) and isinstance(kc, Phase):
-            new_kappa[x] = ph * kc.conjugate()
-        else:
-            ph_c = ph.value if isinstance(ph, Phase) else ph
-            kc_c = kc.value if isinstance(kc, Phase) else kc
-            new_kappa[x] = ph_c * kc_c.conjugate()
+        kc = extracted[class_of_edge(rep.graph, x)]  # a Phase or a complex, like ph
+        new_kappa[x] = ph * kc.conjugate()
     return twisted_boundary(rep.graph, new_kappa, rep.cutting_set)

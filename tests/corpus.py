@@ -236,6 +236,17 @@ def layered_graph(layers: int) -> Graph:
     return Graph(vs, edges)
 
 
+def ring_with_chords(n: int, chords: int, seed: int) -> Graph:
+    """The ring v_i -> v_(i+1 mod n) plus ``chords`` seeded edges, both ends
+    drawn by ``random.Random(seed).randrange(n)``: strongly connected, with
+    thousands of simple cycles at n = 14-16 and 40 chords."""
+    rng = random.Random(seed)
+    vs = [f"v{i:02d}" for i in range(n)]
+    edges = [(f"r{i:02d}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    edges += [(f"c{j:02d}", vs[rng.randrange(n)], vs[rng.randrange(n)]) for j in range(chords)]
+    return Graph(vs, edges)
+
+
 def random_graph(rng: random.Random, max_vertices: int = 8, density: float = 0.3) -> Graph:
     """Seeded directed graph: each ordered vertex pair (self-loops included)
     carries an edge with the given probability."""

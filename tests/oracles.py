@@ -4,12 +4,14 @@ Everything here is deliberately written from the raw graph accessors only
 (in_edges / source_of), with its own searches, so that agreement with the
 library is a genuine two-route check rather than a tautology.  The
 exceptions are routes that production code no longer takes.  The eager
-test sets come first: ``enumerate_paths_oracle``,
-``boundary_set_oracle`` and ``omega_set_oracle`` build each test set whole,
-canonicalise it and sort it once, where the library grows it lazily one
-layer at a time (``graph.path_layers``); ``basis_elements`` picks the set of
-a representation, and ``paths_up_to``, ``w_paths``, ``ideal_span_pairs`` and
-``cutting_sets`` list the path families that the tests read.  Then come
+test sets come first: ``enumerate_paths_oracle``, ``boundary_set_oracle``
+and ``omega_set_oracle`` build each test set whole, canonicalise it with
+``canonicalize_oracle`` (one prefix edge absorbed at a time, where the
+library counts the absorbed edges and rotates once) and sort it once, where
+the library grows it lazily one layer at a time (``graph.path_layers``);
+``basis_elements`` picks the set of a representation, and ``paths_up_to``,
+``w_paths``, ``ideal_span_pairs`` and ``cutting_sets`` list the path
+families that the tests read.  Then come
 ``test_set_equal_oracle``, the operator-equality scan over the canonical
 test set that the closed-form route replaced, and the two other replaced
 routes: ``deep_walk_equal`` (seeded random walks) and
@@ -57,7 +59,7 @@ from graphck import (
 from graphck.algebra import path_isometry, vertex_projection, zero
 from graphck.exact import Cyclotomic, _cyclotomic_poly, _powers
 from graphck.expr import ExprError, _Parser, _tokenize
-from graphck.graph import path_key
+from graphck.graph import Path, path_key
 from graphck.reps import LEVELS, combos_equal
 
 DEEP_WALK_SEED = 101
@@ -75,6 +77,17 @@ def enumerate_paths_oracle(g: Graph, max_len: int) -> tuple:
     return tuple(sorted(out, key=path_key))
 
 
+def canonicalize_oracle(prefix: Path, period: Path) -> BoundaryPath:
+    """The canonical form of prefix . period^inf, absorbing one prefix edge at
+    a time: while the prefix ends with the period's last edge, drop that edge
+    and rotate the period to start with it."""
+    pre, per = prefix, period
+    while not pre.is_empty and pre.edges[-1] == per.edges[-1]:
+        per = Path(per.edges[-1:] + per.edges[:-1], per.vertices[-2:] + per.vertices[1:-1])
+        pre = Path(pre.edges[:-1], pre.vertices[:-1])
+    return BoundaryPath(pre, per)
+
+
 @lru_cache(maxsize=None)
 def boundary_set_oracle(g: Graph, depth: int) -> tuple:
     """Finite paths of length <= depth from a source, plus the canonical form
@@ -83,7 +96,7 @@ def boundary_set_oracle(g: Graph, depth: int) -> tuple:
     paths = enumerate_paths_oracle(g, depth)
     out = {BoundaryPath(p) for p in paths if not g.in_edges(p.source)}
     for per in (rot for c in simple_cycles(g) for rot in rotations(c)):
-        out.update(canonicalize(p, per) for p in paths if p.source == per.range)
+        out.update(canonicalize_oracle(p, per) for p in paths if p.source == per.range)
     return tuple(sorted(out, key=BoundaryPath.sort_key))
 
 

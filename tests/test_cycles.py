@@ -15,7 +15,17 @@ from graphck import (
     rotations,
     simple_cycles,
 )
-from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph, random_graphs
+from corpus import (
+    CORPUS,
+    EXTRAS,
+    g1_loop,
+    g2_cyc2,
+    g3_ent,
+    g4_line,
+    layered_graph,
+    random_graphs,
+    ring_with_chords,
+)
 from oracles import cutting_sets, simple_cycles_oracle
 
 
@@ -39,6 +49,14 @@ def test_simple_cycles_match_the_unrestricted_search():
         assert simple_cycles(g) == tuple(simple_cycles_oracle(g)), name
 
 
+@pytest.mark.parametrize("n,chords,seed,count", [(16, 40, 55, 18_641), (14, 40, 17, 14_779)])
+def test_simple_cycles_match_the_unrestricted_search_on_dense_rings(n, chords, seed, count):
+    g = ring_with_chords(n, chords, seed)
+    cycles = simple_cycles(g)
+    assert len(cycles) == count
+    assert cycles == tuple(simple_cycles_oracle(g))
+
+
 def test_simple_cycles_search_stays_inside_components():
     # 81 vertices and about 2^40 simple paths into the sink, but no cycle:
     # a search that left the cyclic components would not finish here
@@ -58,6 +76,9 @@ def test_canonical_rotation_and_class():
     assert cls_a.vertex_set == {"u", "v"}
     assert len(cls_a.members) == 2
     assert {rot.render() for rot in rotations(c)} == {"e1 e2", "e2 e1"}
+    g1 = g1_loop()
+    with pytest.raises(GraphError, match="not a simple cycle"):
+        canonical_rotation(g1.path(["e", "e"]))
 
 
 def test_has_entrance_in_examples():

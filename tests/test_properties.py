@@ -50,6 +50,7 @@ from corpus import BUDGET_GRAPH, layered_graph
 from oracles import (
     basis_elements,
     boundary_set_oracle,
+    canonicalize_oracle,
     cofinal_oracle,
     cutting_sets,
     enumerate_paths_oracle,
@@ -126,6 +127,15 @@ def test_canonicalize_idempotent_and_absorption_stable(data):
     # winding more periods into the prefix never changes the value
     wound = prefix.concat(period)
     assert canonicalize(wound, period) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_periodic(), st.integers(0, 2))
+def test_canonicalize_matches_the_one_edge_loop(data, windings):
+    g, prefix, period = data
+    for _ in range(windings):  # the absorbed edges may wrap round the period
+        prefix = prefix.concat(period)
+    assert canonicalize(prefix, period) == canonicalize_oracle(prefix, period)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,6 +250,9 @@ def test_rotation_canonicalization_idempotent(data):
         period
     )
     assert cycle_class(period) == cycle_class(canonical_rotation(period))
+    for r in rotations(period):
+        assert r == g.path(r.edges)  # each rotation carries its own itinerary
+        assert canonical_rotation(r) == min(rotations(r), key=lambda p: p.edges)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 import time
 from fractions import Fraction
@@ -171,6 +173,20 @@ def test_twisted_reduced_and_extract_kappa():
     assert extract_kappa(quarter) == {cls: Phase(Fraction(1, 4))}
     assert extract_kappa(boundary(g1)) == {cls: Phase(0)}
     assert extract_kappa(twisted_boundary(g3_ent(), {})) == {}
+
+
+def test_complex_twist_on_an_exact_family():
+    """The cycle scalar of a complex twist is inexact; an exact custom family
+    multiplies its range projection by it like the complex families do."""
+    g = g2_cyc2()
+    phase = cmath.exp(2j * math.pi * 0.1234)
+    rep = twisted_boundary(g, {"e1": phase})
+    reports = [report_tuple(verify_relations(rep, REDUCED, family=fam))
+               for fam in (None, canonical_family(g), canonical_family(g, COMPLEX))]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == report_tuple(verify_relations_oracle(rep, REDUCED, family=canonical_family(g)))
+    ((_, kappa),) = reports[0][3]
+    assert abs(complex(kappa) - phase) < 1e-9
 
 
 def test_extract_kappa_decides_graphs_above_the_old_budget():
