@@ -18,7 +18,6 @@ from .algebra import (
     ck_defect,
     diag_expectation,
     element_w_normal_form,
-    is_w_path,
     monomial,
     path_isometry,
     vertex_projection,
@@ -71,7 +70,6 @@ from .graph import (
     is_cofinal,
     parse_graph,
     reach_map,
-    reachability,
     sources,
     strongly_connected_components,
 )
@@ -103,7 +101,6 @@ from .reps import (
 from .tails import (
     MaximalTail,
     PrimIdealDescriptor,
-    TailConsistencyError,
     classify_tail,
     is_maximal_tail,
     maximal_tails,

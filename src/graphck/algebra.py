@@ -63,9 +63,6 @@ class AlgebraElement:
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: term_key(kv[0]))
 
-    def max_key_length(self) -> int:
-        return max((max(len(a), len(b)) for a, b in self.terms), default=0)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         mode = self.mode if self.mode == other.mode else COMPLEX
         out = dict(self.terms)
@@ -254,10 +251,6 @@ def w_normal_form(g: Graph, p: Path) -> Path:
     while k >= r and p.edges[k - r:k] == rot.edges:
         k -= r
     return p if k == len(p.edges) else Path(p.edges[:k], p.vertices[:k + 1])
-
-
-def is_w_path(g: Graph, p: Path) -> bool:
-    return w_normal_form(g, p) == p
 
 
 def element_w_normal_form(g: Graph, a: AlgebraElement) -> AlgebraElement:

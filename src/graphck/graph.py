@@ -77,19 +77,6 @@ class Path:
         k = len(prefix.edges)
         return Path(self.edges[k:], self.vertices[k:])
 
-    def ends_with(self, suffix: "Path") -> bool:
-        if suffix.is_empty:
-            return self.source == suffix.source
-        return self.edges[-len(suffix.edges):] == suffix.edges
-
-    def strip_suffix(self, suffix: "Path") -> "Path":
-        if not self.ends_with(suffix):
-            raise GraphError(f"{self} does not end with {suffix}")
-        k = len(suffix.edges)
-        if k == 0:
-            return self
-        return Path(self.edges[:-k], self.vertices[:-k])
-
     def concat(self, other: "Path") -> "Path":
         if self.source != other.range:
             raise GraphError(f"paths do not compose: {self} then {other}")
@@ -285,12 +272,6 @@ def reach_map(g: Graph) -> Mapping[str, frozenset[str]]:
                     frontier.append(w)
         out[v] = frozenset(seen)
     return out
-
-
-def reachability(g: Graph) -> frozenset[tuple[str, str]]:
-    """The reflexive-transitive relation {(v, w) : vE*w is nonempty}."""
-    rm = reach_map(g)
-    return frozenset((v, w) for v in g.vertices for w in rm[v])
 
 
 def path_layers(g: Graph, starts: Iterable[str], depth: int):

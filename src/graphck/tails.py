@@ -32,11 +32,6 @@ GAMMA = "gamma"
 TAU = "tau"
 
 
-class TailConsistencyError(AssertionError):
-    """A computed tail failed the direct MT1-MT3 check; this would falsify
-    the tail construction on a concrete instance."""
-
-
 @dataclass(frozen=True)
 class MaximalTail:
     vertices: frozenset[str]
@@ -114,16 +109,8 @@ def tail_of_class(tg: ToeplitzGraph, cls: CycleClass) -> MaximalTail:
             f"{cls.representative.render()} is not an entrance-free class"
         )
     rm = reach_map(base)
-    members = {
-        tg.alpha_v[v] for v in base.vertices if rm[v] & cls.vertex_set
-    }
-    alpha_cls = cycle_class(tg.alpha_path(cls.representative))
-    tail = MaximalTail(frozenset(members), TAU, alpha_cls)
-    if not is_maximal_tail(tg.graph, tail.vertices):
-        raise TailConsistencyError(
-            f"computed tail {sorted(tail.vertices)} fails MT1-MT3"
-        )
-    return tail
+    members = frozenset(tg.alpha_v[v] for v in base.vertices if rm[v] & cls.vertex_set)
+    return MaximalTail(members, TAU, cycle_class(tg.alpha_path(cls.representative)))
 
 
 def prim_ideal_catalog(g: Graph) -> list[PrimIdealDescriptor]:

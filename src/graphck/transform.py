@@ -5,8 +5,11 @@
   of E; the dictionary family realizes that identification.
 * The reduced graph deletes a cutting set, leaving no entrance-free cycles.
 * Ideal generator sets pin each entrance-free cycle to a phase multiple of
-  its range projection, on top of the Cuntz-Krieger defect projections; the
-  gauge rescaling carries the untwisted generators onto the twisted ones.
+  its range projection, on top of the Cuntz-Krieger defect projections.
+* The gauge rescaling multiplies each cutting edge by the conjugate phase of
+  its class.  It carries each untwisted pin onto a unit multiple of the
+  twisted pin and fixes every defect; both are identities of ``twist``
+  (see ``GeneratorRescaling``), so no call re-checks them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .algebra import (
 )
 from .cycles import (
     CycleClass,
-    class_of_edge,
     cycle_class,
     entrance_free_classes,
     is_cutting_set,
@@ -153,12 +155,6 @@ def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
     return out
 
 
-def _pin_element(g: Graph, phase: Phase, mu: Path, mode: str = EXACT) -> AlgebraElement:
-    """kappa(C) p_{r(mu)} - s_mu as an algebra element."""
-    pin = vertex_projection(g, mu.range, mode).scaled(phase)
-    return pin - path_isometry(g, mu, mode)
-
-
 @dataclass(frozen=True, eq=False)
 class IdealGenerators:
     """Symbolic generator set for the relation ideal of a phase assignment.
@@ -182,9 +178,10 @@ class IdealGenerators:
                 out.append(ck_defect(fam, v))
             else:
                 out.append(vertex_projection(self.graph, v, mode))
-        for phase, cls in self.pins:
+        for phase, cls in self.pins:  # kappa(C) p_{r(mu)} - s_mu
             for mu in cls.members:
-                out.append(_pin_element(self.graph, phase, mu, mode))
+                pin = vertex_projection(self.graph, mu.range, mode).scaled(phase)
+                out.append(pin - path_isometry(self.graph, mu, mode))
         return out
 
     def describe(self) -> list[str]:
@@ -266,14 +263,17 @@ class GeneratorRescaling:
     """The gauge correspondence fixing p_v and s_e off the cutting set and
     rescaling each cutting edge by the conjugate phase.
 
-    ``pin_map`` records, per class rotation, the unit scalar u with
-    rescale(p_{r(mu)} - s_mu) == u * (kappa(C) p_{r(mu)} - s_mu).
+    A cutting set has exactly one edge in each entrance-free class, so every
+    rotation mu of a class C crosses it once, and the rescaling maps each
+    untwisted pin onto a unit multiple of the twisted one:
+    rescale(p_{r(mu)} - s_mu) = conj kappa(C) (kappa(C) p_{r(mu)} - s_mu).
+    Each term s_e s_e^* of a Cuntz-Krieger defect carries e on both sides,
+    so the rescaling fixes every defect.
     """
 
     graph: Graph
     cutting_set: tuple[str, ...]
     edge_phases: Mapping[str, Phase]
-    pin_map: tuple[tuple[Path, Phase], ...]
 
     def rescale_element(self, a: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(
@@ -281,75 +281,19 @@ class GeneratorRescaling:
             a.mode,
         )
 
-    def inverse(self) -> "GeneratorRescaling":
-        inv = {e: ph.conjugate() for e, ph in self.edge_phases.items()}
-        return GeneratorRescaling(
-            graph=self.graph,
-            cutting_set=self.cutting_set,
-            edge_phases=inv,
-            pin_map=tuple((mu, u.conjugate()) for mu, u in self.pin_map),
-        )
-
-    def then(self, other: "GeneratorRescaling") -> "GeneratorRescaling":
-        if set(self.edge_phases) != set(other.edge_phases):
-            raise GraphError("rescalings use different cutting sets")
-        merged = {
-            e: self.edge_phases[e] * other.edge_phases[e] for e in self.edge_phases
-        }
-        return GeneratorRescaling(
-            graph=self.graph,
-            cutting_set=self.cutting_set,
-            edge_phases=merged,
-            pin_map=tuple(
-                (mu, u1 * u2)
-                for (mu, u1), (_, u2) in zip(self.pin_map, other.pin_map)
-            ),
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return all(ph.is_one for ph in self.edge_phases.values())
-
 
 def rescale_generators(g: Graph, cutting_set, kappa) -> GeneratorRescaling:
-    """Build the correspondence for a phase assignment on a cutting set and
-    verify it carries each untwisted generator onto a unit multiple of the
-    corresponding twisted generator."""
+    """The correspondence for a phase assignment on a cutting set: a single
+    phase, or a mapping defined exactly on the cutting-set edges."""
     chosen = tuple(sorted(cutting_set))
     if not is_cutting_set(g, chosen):
         raise GraphError(f"{chosen} is not a cutting set")
     if isinstance(kappa, Mapping):
+        if set(kappa) != set(chosen):
+            raise GraphError("kappa must be defined exactly on the cutting set")
         table = {x: rational_phase(kappa[x]) for x in chosen}
     else:
         constant = rational_phase(kappa)
         table = {x: constant for x in chosen}
     edge_phases = {x: table[x].conjugate() for x in chosen}
-    correspondence = GeneratorRescaling(
-        graph=g, cutting_set=chosen, edge_phases=edge_phases, pin_map=()
-    )
-    pin_map: list[tuple[Path, Phase]] = []
-    one = Phase()
-    for x in chosen:
-        cls = class_of_edge(g, x)
-        kc = table[x]
-        unit = kc.conjugate()
-        for mu in cls.members:
-            before = _pin_element(g, one, mu)
-            target = _pin_element(g, kc, mu).scaled(unit)
-            if correspondence.rescale_element(before) != target:
-                raise GraphError(
-                    f"rescaling failed to map the pin of {mu.render()}"
-                )
-            pin_map.append((mu, unit))
-    fam = canonical_family(g)
-    for v in g.vertices:
-        if g.in_edges(v):
-            delta = ck_defect(fam, v)
-            if correspondence.rescale_element(delta) != delta:
-                raise GraphError(f"rescaling moved the defect at {v}")
-    return GeneratorRescaling(
-        graph=g,
-        cutting_set=chosen,
-        edge_phases=edge_phases,
-        pin_map=tuple(pin_map),
-    )
+    return GeneratorRescaling(graph=g, cutting_set=chosen, edge_phases=edge_phases)

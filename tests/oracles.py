@@ -3,9 +3,12 @@
 Everything here is deliberately written from the raw graph accessors only
 (in_edges / source_of), with its own searches, so that agreement with the
 library is a genuine two-route check rather than a tautology.  The
-exceptions are routes that production code no longer takes.  The eager
-test sets come first: ``enumerate_paths_oracle``, ``boundary_set_oracle``
-and ``omega_set_oracle`` build each test set whole, canonicalise it with
+exceptions are routes that production code no longer takes.  First come
+four small helpers that no production code calls, written on the
+library's own accessors: ``reachability``, ``is_w_path``,
+``max_key_length`` and ``strip_suffix``.  The eager test sets come next:
+``enumerate_paths_oracle``, ``boundary_set_oracle`` and
+``omega_set_oracle`` build each test set whole, canonicalise it with
 ``canonicalize_oracle`` (one prefix edge absorbed at a time, where the
 library counts the absorbed edges and rotates once) and sort it once, where
 the library grows it lazily one layer at a time (``graph.path_layers``);
@@ -50,11 +53,12 @@ from graphck import (
     ck_defect,
     entrance_free_classes,
     exact,
-    is_w_path,
     min_verification_depth,
+    reach_map,
     rotations,
     simple_cycles,
     sources,
+    w_normal_form,
 )
 from graphck.algebra import path_isometry, vertex_projection, zero
 from graphck.exact import Cyclotomic, _cyclotomic_poly, _powers
@@ -64,6 +68,29 @@ from graphck.reps import LEVELS, combos_equal
 
 DEEP_WALK_SEED = 101
 DEEP_WALK_COUNT = 200
+
+
+def reachability(g: Graph) -> frozenset[tuple[str, str]]:
+    """The reflexive-transitive relation {(v, w) : vE*w is nonempty}."""
+    rm = reach_map(g)
+    return frozenset((v, w) for v in g.vertices for w in rm[v])
+
+
+def is_w_path(g: Graph, p: Path) -> bool:
+    return w_normal_form(g, p) == p
+
+
+def max_key_length(a: AlgebraElement) -> int:
+    return max((max(len(al), len(be)) for al, be in a.terms), default=0)
+
+
+def strip_suffix(p: Path, suffix: Path) -> Path | None:
+    """p with ``suffix`` removed from its source end, or None when p does
+    not end with ``suffix``."""
+    k = len(suffix.edges)
+    if p.source != suffix.source or p.edges[len(p.edges) - k:] != suffix.edges:
+        return None
+    return Path(p.edges[:len(p.edges) - k], p.vertices[:len(p.vertices) - k])
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +337,7 @@ def _cycle_lengths(g: Graph) -> tuple[int, ...]:
 
 def equality_depth(rep, *elems: AlgebraElement) -> int:
     """L + |vertices| + longest simple cycle, L the longest key of ``elems``."""
-    longest = max((e.max_key_length() for e in elems), default=0)
+    longest = max((max_key_length(e) for e in elems), default=0)
     return longest + len(rep.graph.vertices) + max(_cycle_lengths(rep.graph), default=0)
 
 

@@ -13,7 +13,6 @@ from graphck import (
     diag_expectation,
     element_w_normal_form,
     enumerate_paths,
-    is_w_path,
     monomial,
     path_isometry,
     vertex_projection,
@@ -22,7 +21,7 @@ from graphck import (
 )
 from graphck import exact
 from corpus import CORPUS, g1_loop, g2_cyc2, g3_ent, random_element
-from oracles import w_paths
+from oracles import is_w_path, w_paths
 
 
 def _pools(g, max_len=2):

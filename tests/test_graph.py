@@ -7,12 +7,11 @@ from graphck import (
     enumerate_paths,
     is_cofinal,
     parse_graph,
-    reachability,
     sources,
     strongly_connected_components,
 )
 from corpus import CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line
-from oracles import cofinal_oracle, enumerate_paths_oracle, paths_up_to
+from oracles import cofinal_oracle, enumerate_paths_oracle, paths_up_to, reachability
 
 
 G1_TEXT = """\

@@ -34,14 +34,21 @@ from graphck import (
     WorkBudgetError,
     boundary,
     canonical_cutting_set,
+    canonical_family,
+    ck_defect,
+    is_maximal_tail,
     left_regular,
     min_verification_depth,
     omega,
     omega_supported,
+    path_isometry,
+    rescale_generators,
+    tail_of_class,
     toeplitz_family,
     toeplitz_graph,
     twisted_boundary,
     verify_relations,
+    vertex_projection,
 )
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
@@ -58,6 +65,7 @@ from oracles import (
     omega_set_oracle,
     report_tuple,
     simple_cycles_oracle,
+    strip_suffix,
     tail_triples,
     verify_relations_oracle,
 )
@@ -159,17 +167,11 @@ def test_w_normal_form_strips_cycle_powers(data):
     rest = p.strip_prefix(nf)
     # the stripped tail is a whole power of the entrance-free rotation at
     # the path's source
+    rots = [rot for cls in entrance_free_classes(g) for rot in cls.members]
     while not rest.is_empty:
-        matched = False
-        for cls in entrance_free_classes(g):
-            for rot in cls.members:
-                if rest.ends_with(rot):
-                    rest = rest.strip_suffix(rot)
-                    matched = True
-                    break
-            if matched:
-                break
-        assert matched
+        stripped = [r for r in (strip_suffix(rest, rot) for rot in rots) if r is not None]
+        assert stripped
+        rest = stripped[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,29 +206,29 @@ def test_entrance_free_equals_cycle_filter(g):
     }
 
 
+def _draw_element(data, g, max_len=2):
+    """A random element whose keys are paths of length <= max_len."""
+    by_source = {}
+    for p in enumerate_paths(g, max_len):
+        by_source.setdefault(p.source, []).append(p)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        w = data.draw(st.sampled_from(sorted(by_source)))
+        a = data.draw(st.sampled_from(by_source[w]))
+        b = data.draw(st.sampled_from(by_source[w]))
+        c = GaussianRational(
+            Fraction(data.draw(st.integers(-2, 2))),
+            Fraction(data.draw(st.integers(-2, 2))),
+        )
+        key = (a, b)
+        terms[key] = terms[key] + c if key in terms else c
+    return AlgebraElement(terms)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_vertices=4, max_edges=5), st.data())
 def test_algebra_axioms(g, data):
-    paths = enumerate_paths(g, 2)
-    by_source = {}
-    for p in paths:
-        by_source.setdefault(p.source, []).append(p)
-
-    def element():
-        terms = {}
-        for _ in range(data.draw(st.integers(1, 3))):
-            w = data.draw(st.sampled_from(sorted(by_source)))
-            a = data.draw(st.sampled_from(by_source[w]))
-            b = data.draw(st.sampled_from(by_source[w]))
-            c = GaussianRational(
-                Fraction(data.draw(st.integers(-2, 2))),
-                Fraction(data.draw(st.integers(-2, 2))),
-            )
-            key = (a, b)
-            terms[key] = terms[key] + c if key in terms else c
-        return AlgebraElement(terms)
-
-    a, b, c = element(), element(), element()
+    a, b, c = (_draw_element(data, g) for _ in range(3))
     assert (a * b) * c == a * (b * c)
     assert (a * b).adjoint() == b.adjoint() * a.adjoint()
     assert a.adjoint().adjoint() == a
@@ -259,6 +261,51 @@ def test_rotation_canonicalization_idempotent(data):
 @given(graphs(max_vertices=6, max_edges=9))
 def test_maximal_tails_match_oracle(g):
     assert tail_triples(maximal_tails(g)) == maximal_tails_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=6, max_edges=9))
+def test_class_tails_are_circle_tails_of_the_double(g):
+    """``tail_of_class`` returns its closed form unchecked: each result
+    passes MT1-MT3 and is the circle-type maximal tail of the doubled graph
+    whose cycle is the alpha copy of the class."""
+    tg = toeplitz_graph(g)
+    tails = maximal_tails(tg.graph)
+    for cls in entrance_free_classes(g):
+        tail = tail_of_class(tg, cls)
+        assert is_maximal_tail(tg.graph, tail.vertices)
+        assert tail.kind == "tau" and tail in tails
+        assert tail.cycle_class == cycle_class(tg.alpha_path(cls.representative))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=4, max_edges=6), st.data())
+def test_rescaling_maps_pins_and_fixes_defects(g, data):
+    """``rescale_generators`` returns its correspondence unchecked: for a
+    cutting set and rational phases, as a map and as a constant, it sends
+    each untwisted pin p_{r(mu)} - s_mu to conj kappa(C) times the twisted pin
+    kappa(C) p_{r(mu)} - s_mu, fixes every CK defect, and rescaling by kappa
+    and then by conj kappa is the identity."""
+    cut = data.draw(st.sampled_from(cutting_sets(g)))
+    turn = st.integers(0, 11).map(lambda k: Phase(Fraction(k, 12)))
+    constant = data.draw(turn)
+    fam = canonical_family(g)
+    defects = [ck_defect(fam, v) for v in g.vertices if g.in_edges(v)]
+    elements = [_draw_element(data, g) for _ in range(3)]
+    for kappa in ({x: data.draw(turn) for x in cut}, constant):
+        table = kappa if isinstance(kappa, dict) else {x: constant for x in cut}
+        rs = rescale_generators(g, cut, kappa)
+        for cls in entrance_free_classes(g):
+            (x,) = cls.edge_set & set(cut)
+            kc = table[x]
+            for mu in cls.members:
+                p, s = vertex_projection(g, mu.range), path_isometry(g, mu)
+                assert rs.rescale_element(p - s) == (p.scaled(kc) - s).scaled(kc.conjugate())
+        for d in defects:
+            assert rs.rescale_element(d) == d
+        back = rescale_generators(g, cut, {x: ph.conjugate() for x, ph in table.items()})
+        for a in elements:
+            assert back.rescale_element(rs.rescale_element(a)) == a
 
 
 @settings(max_examples=60, deadline=None)

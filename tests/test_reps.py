@@ -312,8 +312,15 @@ def test_canonical_tck_reports_build_no_element(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
     monkeypatch.setattr(reps, "operator_equal", refuse)
     monkeypatch.setattr(reps, "ck_defect", refuse)
+    monkeypatch.setattr(reps, "canonical_family", refuse)
     for name, rep in cases:
-        assert verify_relations(rep, TCK).passed, (name, rep.kind)
+        report = verify_relations(rep, TCK)
+        assert report.passed and report.depth == 1 + len(rep.graph.vertices), (name, rep.kind)
+        assert verify_relations(rep, TCK, depth=3).depth == 3
+        with pytest.raises(ValueError, match="minimum"):
+            verify_relations(rep, TCK, depth=0)
+        with pytest.raises(ValueError, match="unknown level"):
+            verify_relations(rep, "tk")
 
 
 def test_custom_families_still_check_the_toeplitz_relations():

@@ -4,12 +4,12 @@ import pytest
 
 from graphck import (
     GaussianRational,
+    Graph,
     GraphError,
     Phase,
     boundary,
     canonical_cutting_set,
     class_phases,
-    cycle_class,
     entrance_free_classes,
     ikappa_generators,
     jkappa_generators,
@@ -198,33 +198,53 @@ def test_rescale_generators_quarter_turn_example():
     rs = rescale_generators(g1, ("e",), {"e": Phase(Fraction(1, 4))})
     # s_e picks up the conjugate phase
     assert rs.edge_phases["e"] == Phase(Fraction(3, 4))
-    ((mu, unit),) = rs.pin_map
-    assert mu.render() == "e" and unit == Phase(Fraction(3, 4))
-    s_e = path_isometry(g1, "e")
-    rescaled = rs.rescale_element(s_e)
-    assert rescaled == s_e.scaled(Phase(Fraction(3, 4)))
+    s_e, p_v = path_isometry(g1, "e"), vertex_projection(g1, "v")
+    assert rs.rescale_element(s_e) == s_e.scaled(Phase(Fraction(3, 4)))
+    # the untwisted pin goes to -i times the twisted pin i p_v - s_e
+    twisted_pin = p_v.scaled(Phase(Fraction(1, 4))) - s_e
+    assert rs.rescale_element(p_v - s_e) == twisted_pin.scaled(Phase(Fraction(3, 4)))
 
 
 def test_rescale_identity_and_roundtrip():
     g2 = g2_cyc2()
     rs = rescale_generators(g2, ("e1",), {"e1": Phase(Fraction(1, 2))})
-    assert not rs.is_identity
-    assert rs.then(rs.inverse()).is_identity
-    trivial = rescale_generators(g2, ("e1",), Phase(0))
-    assert trivial.is_identity
-    s_e2 = path_isometry(g2, "e2")
+    back = rescale_generators(g2, ("e1",), {"e1": Phase(Fraction(1, 2)).conjugate()})
+    s_e1, s_e2 = path_isometry(g2, "e1"), path_isometry(g2, "e2")
+    assert rs.rescale_element(s_e1) == -s_e1
     assert rs.rescale_element(s_e2) == s_e2  # off-cutting-set edges are fixed
+    trivial = rescale_generators(g2, ("e1",), Phase(0))
+    for a in (s_e1, s_e2 * s_e1.adjoint(), s_e1 * s_e2 + s_e2.adjoint()):
+        assert back.rescale_element(rs.rescale_element(a)) == a
+        assert trivial.rescale_element(a) == a
 
 
 def test_rescale_roundtrip_on_corpus_classes():
+    """Each untwisted generator goes to a unit multiple of its twisted
+    counterpart: 1 on the defects, conj kappa(C) on the pins of C."""
     for _, g in CORPUS:
         if not entrance_free_classes(g):
             continue
         cut = canonical_cutting_set(g)
         kappa = {x: Phase(Fraction(i + 1, 7)) for i, x in enumerate(cut)}
         rs = rescale_generators(g, cut, kappa)
-        assert rs.then(rs.inverse()).is_identity
-        for mu, unit in rs.pin_map:
-            cls = cycle_class(mu)
-            x = next(iter(set(cut) & cls.edge_set))
-            assert unit == kappa[x].conjugate()
+        back = rescale_generators(g, cut, {x: ph.conjugate() for x, ph in kappa.items()})
+        gens = ikappa_generators(g, kappa)
+        units = [Phase(0)] * len(gens.delta_vertices)
+        units += [phase.conjugate() for phase, cls in gens.pins for _ in cls.members]
+        untwisted = ikappa_generators(g, Phase(0)).elements()
+        assert len(untwisted) == len(units)
+        for before, after, unit in zip(untwisted, gens.elements(), units):
+            assert rs.rescale_element(before) == after.scaled(unit)
+            assert back.rescale_element(rs.rescale_element(before)) == before
+
+
+def test_rescale_generators_requires_kappa_on_the_cutting_set():
+    g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "u"), ("f", "w", "w")])
+    third = Phase(Fraction(1, 3))
+    message = "kappa must be defined exactly on the cutting set"
+    with pytest.raises(GraphError, match=message):
+        rescale_generators(g, ("e1", "f"), {"e1": third})
+    with pytest.raises(GraphError, match=message):
+        rescale_generators(g, ("e1", "f"), {"e1": third, "f": third, "zz": third})
+    assert rescale_generators(g, ("e1", "f"), {"e1": third, "f": third}).edge_phases == {
+        "e1": third.conjugate(), "f": third.conjugate()}
