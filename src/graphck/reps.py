@@ -57,7 +57,7 @@ from .algebra import (
     w_normal_form,
 )
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
-from .cycles import class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
+from .cycles import CycleClass, class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
 from .exact import COMPLEX, EXACT, Phase, as_phase
 from .graph import Graph, GraphError, Path, path_layers
 from .transform import GeneratorRescaling, rational_phase, twist
@@ -220,6 +220,10 @@ class RelationReport:
     depth: int
     failures: tuple[RelationFailure, ...]
     kappa: tuple[tuple[str, str], ...] = ()
+    # reduced and normalized only (None below): each class with its
+    # representative's raw cycle scalar, as extract_kappa reads it, also
+    # where another member fails R and ``kappa`` leaves the class out
+    scalars: tuple[tuple[CycleClass, object], ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -335,6 +339,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
     polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
+    scalars: list[tuple[CycleClass, object]] = []
 
     def identity(name, e1, e2):
         if operator_equal(rep, e1, e2):
@@ -368,6 +373,8 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
             class_scalar = None
             for mu in cls.members:
                 witness, scalar = _cycle_scalar(rep, fam, mu, depth)
+                if scalar is not None and mu == cls.representative:
+                    scalars.append((cls, scalar))
                 if witness is not None:
                     problem = witness.render()
                 elif scalar is None:
@@ -392,6 +399,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
         depth=depth,
         failures=tuple(failures),
         kappa=tuple(kappa_found),
+        scalars=tuple(scalars) if level in (REDUCED, NORMALIZED) else None,
     )
 
 

@@ -131,28 +131,25 @@ def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
 
     Accepts a single phase (constant function), a mapping keyed by
     CycleClass, by canonical-rotation edge tuple, or by cutting-set edge.
+    A mapping names every class with exactly one key, and no other key.
     """
     classes = entrance_free_classes(g)
     if isinstance(kappa, (Phase, Cyclotomic, int, Fraction, str)):
         ph = rational_phase(kappa)
         return {cls: ph for cls in classes}
     out: dict[CycleClass, Phase] = {}
-    table = dict(kappa)
+    for key, value in dict(kappa).items():
+        cls = next((c for c in classes if key in (c, c.representative.edges)
+                    or (isinstance(key, str) and key in c.edge_set)), None)
+        if cls is None:
+            raise GraphError(f"kappa key {key!r} names no entrance-free class")
+        if cls in out:
+            raise GraphError(f"kappa names class {cls.representative.render()!r} twice")
+        out[cls] = rational_phase(value)
     for cls in classes:
-        if cls in table:
-            out[cls] = rational_phase(table[cls])
-            continue
-        if cls.representative.edges in table:
-            out[cls] = rational_phase(table[cls.representative.edges])
-            continue
-        hits = [e for e in table if isinstance(e, str) and e in cls.edge_set]
-        if len(hits) == 1:
-            out[cls] = rational_phase(table[hits[0]])
-            continue
-        raise GraphError(
-            f"phase assignment misses class {cls.representative.render()}"
-        )
-    return out
+        if cls not in out:
+            raise GraphError(f"phase assignment misses class {cls.representative.render()}")
+    return {cls: out[cls] for cls in classes}
 
 
 @dataclass(frozen=True, eq=False)

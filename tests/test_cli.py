@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import graphck
 from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
+from graphck import cli
 from graphck.cli import main
 from graphck.graph import cyclic_components
 from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph
@@ -230,6 +235,88 @@ def test_verify_kappa_flag_validation(files, capsys):
         ["verify", files["g1"], "--rep=twisted", "--level=reduced", "--kappa=e:1/3,e:1/4"],
     )
     assert code == 2 and not out and "'e'" in err and "twice" in err
+
+
+PARSER_CASES = (
+    ["--help"],
+    *([command, "--help"] for command in ("analyze", "transform", "tails", "verify", "expect")),
+    ["--version"],
+    [],
+    ["verify", "--rep=nope", "--level=ck", "G"],
+    ["transform", "--toeplitz", "--reduce", "G"],
+)
+
+
+def _fresh_process(argv):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphck.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "graphck.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_exiting(capsys, argv):
+    """(exit code, stdout, stderr) of ``main``, also when argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_reused_parser_prints_what_a_fresh_one_prints(files, capsys, monkeypatch):
+    """``main`` builds its parser once; help, version and argparse errors
+    match a freshly built parser's, before and after other commands ran."""
+    cases = [[files["g1"] if arg == "G" else arg for arg in argv] for argv in PARSER_CASES]
+    _run(capsys, ["analyze", files["g1"]])
+    shared = cli._PARSER
+    assert shared is not None
+    fresh = []
+    for argv in cases:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(_run_exiting(capsys, argv))
+    monkeypatch.setattr(cli, "_PARSER", shared)
+    assert [code for code, _, _ in fresh] == [0] * 7 + [2] * 3
+    assert all(out for _, out, _ in fresh[:7]) and all(err for _, _, err in fresh[7:])
+    others = (
+        ["verify", files["g1"], "--rep=twisted", "--level=normalized", "--kappa=e:1/3"],
+        ["transform", files["g2"], "--reduce", "--cutting-set=e2", "--pretty"],
+        ["tails", files["g1"], "--toeplitz-of"],
+        ["expect", files["g2"], "--element=s[e1] * s*[e1]"],
+        ["verify", files["g3"], "--rep=left-regular", "--level=ck", "--depth=3"],
+    )
+    for _ in range(2):
+        assert [_run_exiting(capsys, argv) for argv in cases] == fresh
+        for argv in others:
+            _run(capsys, argv)
+    assert cli._PARSER is shared
+
+
+def test_no_flag_leaks_from_one_call_to_the_next(files, capsys):
+    for first, second in (
+        (["verify", files["g1"], "--rep=twisted", "--level=reduced", "--kappa=e:1/3"],
+         ["verify", files["g1"], "--rep=boundary", "--level=reduced"]),
+        (["transform", files["g2"], "--reduce", "--cutting-set=e2"],
+         ["transform", files["g2"], "--reduce"]),
+    ):
+        assert _run(capsys, first)[0] == 0
+        assert _run(capsys, second) == _fresh_process(second)
+
+
+def test_twisted_verify_reads_the_scalars_of_its_report(files, capsys, monkeypatch):
+    """From ``reduced`` on, the kappa entries come from the report's scalars."""
+    argv = ["verify", files["g2"], "--rep=twisted", "--kappa=e2:1/6"]
+
+    def refuse(rep, depth=None):
+        raise AssertionError("extract_kappa was called")
+
+    monkeypatch.setattr(cli, "extract_kappa", refuse)
+    for level, code in (("reduced", 0), ("normalized", 1)):
+        got, out, _ = _run(capsys, [*argv, f"--level={level}"])
+        assert got == code and json.loads(out)["result"]["kappa"] == [
+            {"class": "e1 e2", "turn": "1/6", "value": "1@1/6"}]
+    with pytest.raises(AssertionError, match="extract_kappa"):
+        main([*argv, "--level=ck"])
 
 
 def test_expect_examples(files, capsys):

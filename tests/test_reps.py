@@ -175,6 +175,16 @@ def test_twisted_reduced_and_extract_kappa():
     assert extract_kappa(twisted_boundary(g3_ent(), {})) == {}
 
 
+def test_reports_carry_the_cycle_scalars_extract_kappa_reads():
+    g = parse_graph("vertex u\nvertex v\nvertex w\nedge e1 : u -> v\nedge e2 : v -> u\n"
+                    "edge f : w -> w\n")
+    trep = twisted_boundary(g, {"e2": Phase(Fraction(1, 3)), "f": Phase(Fraction(5, 6))})
+    for level in (REDUCED, NORMALIZED):
+        scalars = verify_relations(trep, level).scalars
+        assert {cls: exact.as_phase(c) for cls, c in scalars} == extract_kappa(trep)
+    assert verify_relations(trep, CK).scalars is None
+
+
 def test_complex_twist_on_an_exact_family():
     """The cycle scalar of a complex twist is inexact; an exact custom family
     multiplies its range projection by it like the complex families do."""

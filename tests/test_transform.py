@@ -96,6 +96,22 @@ def test_class_phases_forms():
     assert class_phases(g2, GaussianRational(0, 1))[cls] == Phase(Fraction(1, 4))
 
 
+def test_class_phases_keys_name_exactly_one_class():
+    g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "u"), ("f", "w", "w")])
+    t = Phase(Fraction(1, 3))
+    for call in (class_phases, ikappa_generators):
+        with pytest.raises(GraphError, match="kappa key 'zz' names no entrance-free class"):
+            call(g, {"e1": t, "f": t, "zz": t})
+        with pytest.raises(GraphError, match="kappa names class 'e1 e2' twice"):
+            call(g, {"e1": t, "e2": t, "f": t})
+        with pytest.raises(GraphError, match="kappa names class 'e1 e2' twice"):
+            call(g, {("e1", "e2"): t, "e2": t, "f": t})
+    with pytest.raises(GraphError, match="kappa key 'u' names no entrance-free class"):
+        jkappa_generators(toeplitz_graph(g), {"e1": t, "f": t, "u": t})
+    classes = entrance_free_classes(g)
+    assert list(class_phases(g, {"f": t, "e2": t})) == list(classes)
+
+
 def test_infinite_order_units_are_refused_at_the_call():
     g1 = g1_loop()
     unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))
