@@ -13,21 +13,23 @@ independent (the Cohn path algebra basis): equal operators are equal
 elements.  The boundary, omega and twisted boundary representations satisfy
 the Cuntz-Krieger relation at every receiving vertex (a twisted element is
 first rescaled by kappa(alpha) * conj kappa(beta) per term): each beta is
-extended through the in-edges of its source until every beta has the longest
-length L or starts at a source, which makes the cylinders Z(beta) disjoint,
-so the difference vanishes exactly when every column sum_alpha c_alpha
-s_alpha vanishes on the paths y at w = s(beta).  When the in-edge chase from
-w is forced (one in-edge at each step, ending at a source or around an
-entrance-free cycle), w carries the single boundary path y_w, and alpha.y_w
-= alpha'.y_w exactly when alpha and alpha' agree once stripped of trailing
-powers of the entrance-free rotation at w (``w_normal_form``, which strips
-nothing unless w lies on that cycle).  Otherwise some boundary path y at w
-is not purely periodic at w, the outputs alpha.y are distinct, and w lies on
-no entrance-free cycle.  So the operators agree exactly when the refined
-elements agree after ``w_normal_form`` on every alpha.  Omega follows the
-same rule: a vertex on an entrance-free cycle is forced, and elsewhere no
-omega path is purely periodic while ``omega_supported`` keeps the omega
-space at w nonempty.
+extended through the in-edges of its source while it is a proper head of
+some beta of the pair.  A leaf lambda is then some beta or h.e for a head h,
+so a leaf that were a proper prefix of another would be a head: the
+cylinders Z(lambda) are disjoint, each refined one the disjoint union of its
+children's, and the difference vanishes exactly when every column sum_alpha
+c_alpha s_alpha vanishes on the paths y at w = s(lambda).  When the in-edge
+chase from w is forced (one in-edge at each step, ending at a source or
+around an entrance-free cycle), w carries the single boundary path y_w, and
+alpha.y_w = alpha'.y_w exactly when alpha and alpha' agree once stripped of
+trailing powers of the entrance-free rotation at w (``w_normal_form``, which
+strips nothing unless w lies on that cycle).  Otherwise some boundary path y
+at w is not purely periodic at w, the outputs alpha.y are distinct, and w
+lies on no entrance-free cycle.  So the operators agree exactly when the
+refined elements agree after ``w_normal_form`` on every alpha.  Omega
+follows the same rule: a vertex on an entrance-free cycle is forced, and
+elsewhere no omega path is purely periodic while ``omega_supported`` keeps
+the omega space at w nonempty.
 
 ``verify_relations`` and ``extract_kappa`` decide every relation they check
 with ``operator_equal`` as well, so test sets now serve only the witness
@@ -185,20 +187,22 @@ def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) ->
     if rep.kind == TWISTED:
         untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa).rescale_element
         a, b = untwist(a), untwist(b)
-    length = max((len(beta) for e in (a, b) for _, beta in e.terms), default=0)
-    return _boundary_normal_form(g, a, length) == _boundary_normal_form(g, b, length)
+    heads = {(beta.range, beta.edges[:k])
+             for e in (a, b) for _, beta in e.terms for k in range(len(beta))}
+    return _boundary_normal_form(g, a, heads) == _boundary_normal_form(g, b, heads)
 
 
-def _boundary_normal_form(g: Graph, a: AlgebraElement, length: int) -> AlgebraElement:
-    """``a`` with every beta extended through the in-edges of its source (the
-    CK relation) until it has ``length`` edges or starts at a source, and
-    every alpha stripped of trailing entrance-free rotations (s_mu = p)."""
+def _boundary_normal_form(g: Graph, a: AlgebraElement, heads) -> AlgebraElement:
+    """``a`` with each beta extended through the in-edges of its source (the
+    CK relation) while ``heads`` holds its (range, edges), and every alpha
+    stripped of trailing entrance-free rotations (s_mu = p).  A term follows
+    only the trie of heads, to at most sum |beta| * max in-degree leaves."""
     out: dict = {}
     todo = list(a.terms.items())
     while todo:
         (alpha, beta), c = todo.pop()
         ins = g.in_edges(beta.source)
-        if ins and len(beta) < length:
+        if ins and (beta.range, beta.edges) in heads:
             for e in ins:
                 step = g.edge_path(e)
                 todo.append(((alpha.concat(step), beta.concat(step)), c))
@@ -305,6 +309,12 @@ def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: in
     return None, scalar
 
 
+def _is_path_of(g: Graph, p: Path) -> bool:
+    return all(map(g.has_vertex, p.vertices)) and all(
+        g.has_edge(e) and (g.range_of(e), g.source_of(e)) == p.vertices[i:i + 2]
+        for i, e in enumerate(p.edges))
+
+
 def verify_relations(rep: Representation, level: str, depth: int | None = None,
                      family: GeneratorFamily | None = None) -> RelationReport:
     """Check the family relations as operator identities.
@@ -321,11 +331,16 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
     Every other relation, on every family, is decided by ``operator_equal``.
     Only a relation that fails is scanned for its least witness in the test
     set of ``depth``; one with no witness there passes at that depth.  All
-    failing instances are reported, each with its least witness.
+    failing instances are reported, each with its least witness.  A custom
+    family with a key that is no path of ``rep.graph`` raises GraphError.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     canonical = family is None
+    for kind, gens in () if canonical else (("p", family.p), ("s", family.s)):
+        for k, x in gens.items():
+            if not all(_is_path_of(rep.graph, p) for key in x.terms for p in key):
+                raise GraphError(f"family generator {kind}[{k}] is not over the represented graph")
     idx = rep.graph if canonical else family.index
     mind = min_verification_depth(idx, level)
     if depth is None:

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from graphck import (
+    EXACT,
     GaussianRational,
     Graph,
     Phase,
@@ -20,8 +21,6 @@ from graphck import (
     ck_defect,
     entrance_free_classes,
     omega_supported,
-    path_isometry,
-    vertex_projection,
 )
 
 
@@ -301,14 +300,17 @@ def kernel_elements(g: Graph, rep) -> list:
     """Elements acting as zero in a boundary-type representation of g, so
     adding a multiple of one leaves the operator unchanged: the CK defects
     and, per entrance-free class, the pin kappa(C) p_{r(mu)} - s_mu, with
-    kappa = 1 off the twisted kind.  The left-regular representation is
-    faithful, so there the same perturbations give near-miss unequal pairs."""
-    fam = canonical_family(g)
+    kappa = 1 off the twisted kind.  The elements take the mode of ``rep``
+    (complex phases multiply as complex units).  The left-regular
+    representation is faithful, so there the same perturbations give
+    near-miss unequal pairs."""
+    fam = canonical_family(g, rep.mode)
     kernel = [ck_defect(fam, v) for v in g.vertices if g.in_edges(v)]
+    one = Phase(0) if rep.mode == EXACT else 1
     for cls in entrance_free_classes(g):
         mu = cls.representative
-        kc = Phase(0)
+        kc = one
         for e in mu.edges:
-            kc = kc * rep.kappa.get(e, Phase(0))
-        kernel.append(vertex_projection(g, mu.range).scaled(kc) - path_isometry(g, mu))
+            kc = kc * rep.kappa.get(e, one)
+        kernel.append(fam.p[mu.range].scaled(kc) - fam.s_path(mu))
     return kernel

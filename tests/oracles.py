@@ -16,13 +16,15 @@ the library grows it lazily one layer at a time (``graph.path_layers``);
 ``w_paths``, ``ideal_span_pairs`` and ``cutting_sets`` list the path
 families that the tests read.  Then come
 ``test_set_equal_oracle``, the operator-equality scan over the canonical
-test set that the closed-form route replaced, and the two other replaced
-routes: ``deep_walk_equal`` (seeded random walks) and
-``verify_relations_oracle`` (the relation check by a scan of the whole test
-set).  Two more replaced routes close the file: ``minimal_oracle``, the least
-cyclotomic level by one linear elimination per divisor, and
-``parse_element_oracle``, which parses an expression one element per
-generator.
+test set that the closed-form route replaced, and three other replaced
+routes: ``deep_walk_equal`` (seeded random walks),
+``length_refinement_equal`` (the closed form with every beta refined to the
+longest beta length, exponential in that length, where the library refines
+only along the heads of longer betas) and ``verify_relations_oracle`` (the
+relation check by a scan of the whole test set).  Two more replaced
+routes close the file: ``minimal_oracle``, the least cyclotomic level by
+one linear elimination per divisor, and ``parse_element_oracle``, which
+parses an expression one element per generator.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from graphck import (
     NORMALIZED,
     OMEGA,
     REDUCED,
+    TWISTED,
     AlgebraElement,
     BoundaryPath,
+    GeneratorRescaling,
     Graph,
     Phase,
     RelationFailure,
@@ -432,6 +436,39 @@ def deep_walk_equal(rep, a: AlgebraElement, b: AlgebraElement,
     kind = rep.kind if rep.kind in (LEFT_REGULAR, OMEGA) else BOUNDARY
     xs = _deep_walk_basis(rep.graph, kind, depth, walks, seed)
     return all(combos_equal(apply(rep, a, x), apply(rep, b, x)) for x in xs)
+
+
+def length_refinement_equal(rep, a: AlgebraElement, b: AlgebraElement) -> bool:
+    """Operator equality by the refinement that the heads rule replaced:
+    every beta of the pair is extended to the longest beta length L, which
+    takes a short beta at a vertex of in-degree d to d^(L - |beta|) terms."""
+    if rep.kind == LEFT_REGULAR:
+        return a == b
+    g = rep.graph
+    if rep.kind == TWISTED:
+        untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa).rescale_element
+        a, b = untwist(a), untwist(b)
+    length = max((len(beta) for e in (a, b) for _, beta in e.terms), default=0)
+    return _boundary_normal_form(g, a, length) == _boundary_normal_form(g, b, length)
+
+
+def _boundary_normal_form(g: Graph, a: AlgebraElement, length: int) -> AlgebraElement:
+    """``a`` with every beta extended through the in-edges of its source (the
+    CK relation) until it has ``length`` edges or starts at a source, and
+    every alpha stripped of trailing entrance-free rotations (s_mu = p)."""
+    out: dict = {}
+    todo = list(a.terms.items())
+    while todo:
+        (alpha, beta), c = todo.pop()
+        ins = g.in_edges(beta.source)
+        if ins and len(beta) < length:
+            for e in ins:
+                step = g.edge_path(e)
+                todo.append(((alpha.concat(step), beta.concat(step)), c))
+            continue
+        key = (w_normal_form(g, alpha), beta)
+        out[key] = exact.add(out[key], c) if key in out else c
+    return AlgebraElement(out, a.mode)
 
 
 def _scan_cycle_scalar(rep, fam, mu, basis):

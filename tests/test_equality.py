@@ -4,6 +4,7 @@ non-quarter and complex phases."""
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from graphck import (
     zero,
 )
 from corpus import CORPUS, g2_cyc2, g3_ent, g4_line, kernel_elements
-from oracles import deep_walk_equal, test_set_equal_oracle
+from oracles import deep_walk_equal, length_refinement_equal, test_set_equal_oracle
 
 
 def _s(g, *edges):
@@ -79,8 +80,8 @@ def test_unforced_vertex_on_a_cycle_with_an_entrance():
 
 
 def test_ck_refinement_across_mixed_beta_lengths():
-    # betas of length 0, 1 and 3 are refined to L = 3; s_f s_f^* stops early
-    # because f starts at the source w
+    # p_u is refined along the heads @u, e2 and e2 e1 of the 3-edge beta;
+    # s_f s_f^* stays a leaf because f is no head (and starts at the source w)
     g = g3_ent()
     t = _s(g, "e2") * _s(g, "e2", "e1", "e2").adjoint()
     a = vertex_projection(g, "u") + t
@@ -89,6 +90,37 @@ def test_ck_refinement_across_mixed_beta_lengths():
     assert not operator_equal(boundary(g), a, b - _range_projection(g, "f"))
     assert not operator_equal(boundary(g), a, t)
     assert not operator_equal(left_regular(g), a, b)
+
+
+def _two_loops(n):
+    """One vertex v with loops a and b, and gamma = a b a b ... of n edges:
+    the projection s_gamma s_gamma^*, p_v, and the CK rewriting
+    s_a s_a^* + s_b s_b^* of p_v."""
+    g = Graph(["v"], [("a", "v", "v"), ("b", "v", "v")])
+    gamma = _range_projection(g, *(("a", "b") * n)[:n])
+    ck = _range_projection(g, "a") + _range_projection(g, "b")
+    return g, gamma, vertex_projection(g, "v"), ck
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_long_beta_is_refined_along_its_heads_only(n):
+    """A refinement to the longest beta length takes p_v to 2^n terms; the
+    heads of gamma give about 2n."""
+    g, gamma, p_v, ck = _two_loops(n)
+    started = time.perf_counter()
+    for rep in (boundary(g), twisted_boundary(g, {})):
+        assert operator_equal(rep, p_v + gamma, ck + gamma)
+        assert not operator_equal(rep, p_v + gamma.scaled(2), ck + gamma)
+        assert not operator_equal(rep, p_v + gamma, ck + gamma.scaled(2))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_long_beta_agrees_with_the_length_refinement():
+    g, gamma, p_v, ck = _two_loops(12)
+    for rep in (boundary(g), twisted_boundary(g, {})):
+        for a, b in ((p_v + gamma, ck + gamma), (p_v + gamma.scaled(2), ck + gamma),
+                     (p_v + gamma, ck + gamma.scaled(2))):
+            assert operator_equal(rep, a, b) == length_refinement_equal(rep, a, b)
 
 
 def test_twisted_gaussian_pin_and_defect():

@@ -1,6 +1,8 @@
 """Property-based invariants over randomly generated graphs and paths."""
 
+import cmath
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -41,6 +43,7 @@ from graphck import (
     min_verification_depth,
     omega,
     omega_supported,
+    operator_equal,
     path_isometry,
     rescale_generators,
     tail_of_class,
@@ -53,7 +56,7 @@ from graphck import (
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
 from graphck.reps import LEVELS, _test_vectors
-from corpus import BUDGET_GRAPH, layered_graph
+from corpus import BUDGET_GRAPH, kernel_elements, layered_graph
 from oracles import (
     basis_elements,
     boundary_set_oracle,
@@ -61,6 +64,7 @@ from oracles import (
     cofinal_oracle,
     cutting_sets,
     enumerate_paths_oracle,
+    length_refinement_equal,
     maximal_tails_oracle,
     omega_set_oracle,
     report_tuple,
@@ -332,6 +336,55 @@ def test_lazy_test_vectors_match_the_test_set(g, k, depth):
     assert omega_set(g, depth) == omega_set_oracle(g, depth)
     for rep in _reps(g, Fraction(k, 12)):
         assert list(_test_vectors(rep, depth)) == list(basis_elements(rep, depth)), rep.kind
+
+
+def _walk_to(draw, g, w, max_len):
+    """A path with source w of up to max_len edges, grown at its range."""
+    p = g.empty_path(w)
+    for _ in range(draw(st.integers(0, max_len))):
+        outs = g.out_edges(p.range)
+        if not outs:
+            break
+        p = g.edge_path(draw(st.sampled_from(outs))).concat(p)
+    return p
+
+
+def _long_element(draw, g, mode, max_len=5, max_terms=3):
+    """A random element of ``mode`` whose keys have up to max_len edges."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        w = draw(st.sampled_from(g.vertices))
+        re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        key = (_walk_to(draw, g, w, max_len), _walk_to(draw, g, w, max_len))
+        terms[key] = complex(re, im) if mode == "complex" else GaussianRational(re, im)
+    return AlgebraElement(terms, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_edges=6), st.integers(0, 11), st.data())
+def test_heads_refinement_matches_the_length_refinement(g, k, data):
+    """``operator_equal`` refines each beta only along the heads of longer
+    betas; it decides every pair as the refinement of every beta to the
+    longest beta length does, on equal pairs a + r K s (K a kernel element)
+    and on random ones."""
+    cut = canonical_cutting_set(g)
+    zeta = cmath.exp(2j * math.pi * k / 12)
+    reps = [boundary(g), twisted_boundary(g, {x: Phase(Fraction(k, 12)) for x in cut}),
+            twisted_boundary(g, {x: zeta for x in cut})]
+    if omega_supported(g):
+        reps.append(omega(g))
+    for rep in reps:
+        a = _long_element(data.draw, g, rep.mode)
+        kernel = kernel_elements(g, rep)
+        equal = bool(kernel) and data.draw(st.booleans())
+        if equal:
+            r, t = (_long_element(data.draw, g, rep.mode, max_len=2, max_terms=1) for _ in range(2))
+            b = a + r * data.draw(st.sampled_from(kernel)) * t
+        else:
+            b = _long_element(data.draw, g, rep.mode)
+        verdict = operator_equal(rep, a, b)
+        assert verdict == length_refinement_equal(rep, a, b), rep
+        assert verdict or not equal, rep
 
 
 # The scan oracle applies every relation to every vector of its test set; a

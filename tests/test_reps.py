@@ -382,6 +382,22 @@ def test_toeplitz_projection_relation_asks_for_a_projection():
         assert report_tuple(report) == report_tuple(verify_relations_oracle(rep, TCK, family=fam))
 
 
+def test_a_family_over_another_graph_is_refused():
+    """Every key of a custom family must be a path of the represented graph.
+    A family over another graph once passed on the left-regular basis (no
+    vector of g can witness a failure on h) and raised KeyError on the
+    boundary one; now both name the first generator at fault."""
+    g = Graph(["u", "v"], [("e", "u", "v")])
+    h = Graph(["x"], [("l", "x", "x")])
+    reversed_e = Graph(["u", "v"], [("e", "v", "u")])  # same ids, e turned round
+    for rep in (left_regular(g), boundary(g)):
+        with pytest.raises(GraphError, match=r"generator p\[x\]"):
+            verify_relations(rep, CK, family=canonical_family(h))
+        with pytest.raises(GraphError, match=r"generator s\[e\]"):
+            verify_relations(rep, TCK, family=canonical_family(reversed_e))
+        assert verify_relations(rep, TCK, family=canonical_family(g)).passed
+
+
 def test_extract_kappa_rejects_left_regular():
     with pytest.raises(NotReducedError):
         extract_kappa(left_regular(g1_loop()))
