@@ -1,7 +1,10 @@
 """Batch command-line front end with reproducible JSON reports.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 input error (unparseable graph, bad flags, guard or work budget exceeded).
+2 input error (unparseable graph, bad flags, a phase above level 1000,
+cycle guard exceeded).  ``verify`` reads the canonical family in closed
+form and runs no witness search, so it never raises ``WorkBudgetError``,
+which bounds only the library's reports on custom families.
 
 ``main`` may be called many times in one process.  It builds the argparse
 tree on its first call and keeps it in ``_PARSER``: ``parse_args`` leaves a
@@ -20,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import diagonal, element_w_normal_form
 from .cycles import canonical_cutting_set, entrance_free_classes, simple_cycles
-from .exact import ExactnessError, Phase, as_phase, from_phase
+from .exact import ExactnessError, Phase, from_phase
 from .expr import ExprError, parse_element
 from .graph import GraphError, is_cofinal, parse_graph, sources
 from .reps import (
@@ -208,10 +211,9 @@ def _cmd_verify(args) -> int:
         ],
     }
     if args.rep == TWISTED:
-        found = report.scalars if report.scalars is not None else extract_kappa(rep).items()
         entries = []
-        for cls, value in sorted(found, key=lambda kv: kv[0].representative.edges):
-            value = as_phase(value)  # --kappa holds rational turns, so each value is a Phase
+        # --kappa holds rational turns, so each value is a Phase
+        for cls, value in sorted(extract_kappa(rep).items(), key=lambda kv: kv[0].representative.edges):
             entries.append({"class": cls.representative.render(), "turn": str(value.turn),
                             "value": from_phase(value).render(polar=True)})
         result["kappa"] = entries

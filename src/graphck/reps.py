@@ -31,19 +31,25 @@ follows the same rule: a vertex on an entrance-free cycle is forced, and
 elsewhere no omega path is purely periodic while ``omega_supported`` keeps
 the omega space at w nonempty.
 
-``verify_relations`` and ``extract_kappa`` decide every relation they check
-with ``operator_equal`` as well, so test sets now serve only the witness
-search: a relation already known to fail lists the test set of the requested
-depth lazily, in its sorted order, up to its least witness (at most
-``WORK_BUDGET`` paths and vectors).  On the canonical family the Toeplitz
-relations T1-T3 are not checked at all: p_u p_v = delta_{u,v} p_u,
-s_e^* s_e = p_{s(e)} and the projection identities of the CK defect hold as
-formal identities of ``compose``, and ``apply`` follows the same product rule
-on every basis (a twisted element is rescaled on both sides, which undoes the
-twist), so each formal identity holds as an operator identity in every
-representation.  Only CK and the cycle relations R can fail there.  A custom
-family checks T1-T3 with ``operator_equal`` too, T3 as d^* d = d for the CK
-defect d, which holds exactly when d is a projection.
+On the canonical family ``verify_relations`` and ``extract_kappa`` read
+every relation in closed form.  The Toeplitz relations T1-T3,
+p_u p_v = delta_{u,v} p_u, s_e^* s_e = p_{s(e)} and the projection
+identities of the CK defect, hold as formal identities of ``compose``, and
+``apply`` follows the same product rule on every basis (a twisted element
+is rescaled on both sides, which undoes the twist), so each formal identity
+holds as an operator identity in every representation.  On the boundary,
+omega and twisted kinds CK holds, since every boundary path at a receiving
+vertex v starts with exactly one in-edge of v; and an entrance-free rotation
+mu has the one boundary path mu^inf at r(mu), on which s_mu acts by the
+twist of mu, so R holds with that scalar (``_class_scalar``).  On
+left-regular the CK defect at v fixes xi_v and kills every other empty
+path, and s_mu moves xi_{r(mu)} to xi_mu; the empty paths come first in the
+test set, so each CK[v] and R[mu] fails with witness xi_v and xi_{r(mu)}.
+A custom family decides T1-T3, CK and R with ``operator_equal``, T3 as
+d^* d = d for the CK defect d, which holds exactly when d is a projection.
+Test sets serve only its witness search: a relation already known to fail
+lists the test set of the requested depth lazily, in its sorted order, up
+to its least witness (at most ``WORK_BUDGET`` paths and vectors).
 """
 
 from __future__ import annotations
@@ -51,18 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact
-from .algebra import (
-    AlgebraElement,
-    GeneratorFamily,
-    canonical_family,
-    ck_defect,
-    w_normal_form,
-)
+from .algebra import AlgebraElement, GeneratorFamily, ck_defect, w_normal_form
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
-from .cycles import CycleClass, class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
+from .cycles import class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
 from .exact import COMPLEX, EXACT, Phase, as_phase
 from .graph import Graph, GraphError, Path, path_layers
-from .transform import GeneratorRescaling, rational_phase, twist
+from .transform import rational_phase, twist
 
 LEFT_REGULAR = "left-regular"
 BOUNDARY = "boundary"
@@ -90,13 +90,12 @@ class WorkBudgetError(GraphError):
 class Representation:
     """Immutable descriptor: kind, graph, and (for twisted) edge phases."""
 
-    __slots__ = ("kind", "graph", "kappa", "cutting_set", "mode")
+    __slots__ = ("kind", "graph", "kappa", "mode")
 
-    def __init__(self, kind, graph, kappa=None, cutting_set=(), mode=EXACT):
+    def __init__(self, kind, graph, kappa=None, mode=EXACT):
         self.kind = kind
         self.graph = graph
         self.kappa = dict(kappa) if kappa else {}
-        self.cutting_set = tuple(cutting_set)
         self.mode = mode
 
     def __repr__(self):
@@ -121,28 +120,26 @@ def omega(g: Graph) -> Representation:
     return Representation(OMEGA, g)
 
 
-def twisted_boundary(g: Graph, kappa, cutting_set=None) -> Representation:
+def twisted_boundary(g: Graph, kappa) -> Representation:
     """Boundary representation with cutting-set generators rescaled by kappa.
 
-    ``kappa`` maps cutting-set edges to exact phases (rational turns) or, for
-    the inexact mode, to complex units.
+    ``kappa`` maps the edges of a cutting set to exact phases (rational turns)
+    or, for the inexact mode, to complex units.
     """
     table = dict(kappa)
-    chosen = tuple(sorted(table)) if cutting_set is None else tuple(sorted(cutting_set))
-    if set(table) != set(chosen):
-        raise GraphError("kappa must be defined exactly on the cutting set")
+    chosen = tuple(sorted(table))
     if not is_cutting_set(g, chosen):
         raise GraphError(f"{chosen} is not a cutting set")
     if not any(isinstance(v, (complex, float)) for v in table.values()):
         phases = {e: rational_phase(v) for e, v in table.items()}
-        return Representation(TWISTED, g, phases, chosen)
+        return Representation(TWISTED, g, phases)
     phases = {}
     for e, v in table.items():
         v = complex(v) if isinstance(v, (complex, float)) else as_phase(v).value
         if abs(abs(v) - 1.0) > exact.TOL:
             raise GraphError(f"kappa[{e}] is not a unit: {v}")
         phases[e] = v
-    return Representation(TWISTED, g, phases, chosen, COMPLEX)
+    return Representation(TWISTED, g, phases, COMPLEX)
 
 
 def _check_basis(rep: Representation, x) -> None:
@@ -185,8 +182,8 @@ def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) ->
         return a == b
     g = rep.graph
     if rep.kind == TWISTED:
-        untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa).rescale_element
-        a, b = untwist(a), untwist(b)
+        a, b = (AlgebraElement({k: twist(c, *k, rep.kappa) for k, c in e.terms.items()}, e.mode)
+                for e in (a, b))
     heads = {(beta.range, beta.edges[:k])
              for e in (a, b) for _, beta in e.terms for k in range(len(beta))}
     return _boundary_normal_form(g, a, heads) == _boundary_normal_form(g, b, heads)
@@ -224,10 +221,6 @@ class RelationReport:
     depth: int
     failures: tuple[RelationFailure, ...]
     kappa: tuple[tuple[str, str], ...] = ()
-    # reduced and normalized only (None below): each class with its
-    # representative's raw cycle scalar, as extract_kappa reads it, also
-    # where another member fails R and ``kappa`` leaves the class out
-    scalars: tuple[tuple[CycleClass, object], ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -270,9 +263,19 @@ def _least_witness(rep: Representation, depth: int, fails):
     return next((x for x in _test_vectors(rep, depth) if fails(x)), None)
 
 
+def _class_scalar(rep: Representation, mu: Path):
+    """(witness, scalar) of the canonical s_mu for an entrance-free rotation
+    mu, in closed form.  On left-regular, p_{r(mu)} fixes xi_{r(mu)}, which
+    s_mu moves to xi_mu.  Elsewhere mu^inf is the one boundary path at r(mu),
+    and s_mu acts on it by the twist of mu, as ``apply`` multiplies it."""
+    if rep.kind == LEFT_REGULAR:
+        return rep.graph.empty_path(mu.range), None
+    return None, twist(exact.coerce(1, rep.mode), mu, rep.graph.empty_path(mu.source), rep.kappa)
+
+
 def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int):
-    """Whether s_mu acts as one scalar on the test vectors x that the
-    family's p_{r(mu)} fixes (on the canonical family, those with range r(mu)).
+    """Whether a custom family's s_mu acts as one scalar on the test vectors x
+    that its p_{r(mu)} fixes.
 
     Returns (witness, scalar): (None, c) on success, (x, None) for the least
     vector x where s_mu is not the scalar it takes on the first, and
@@ -280,8 +283,7 @@ def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: in
     periodic point gamma^inf of the first term s_gamma of s_mu whose gamma is
     a period of the basis (a simple cycle; on omega an entrance-free rotation;
     none on left-regular), and s_mu = c p_{r(mu)} is decided by
-    ``operator_equal``, so only a failure scans.  On the canonical family the
-    point is mu^inf.
+    ``operator_equal``, so only a failure scans.
     """
     elem, at_range = fam.s_path(mu), fam.p[mu.range]
     g = rep.graph
@@ -326,70 +328,72 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
     isometry is a unit scalar times its range projection (the scalar is
     discovered and reported); ``normalized`` requires that scalar to be 1.
 
-    On the canonical family (``family`` None) T1-T3 hold by the product rule
-    (see the module docstring) and are decided without building anything.
-    Every other relation, on every family, is decided by ``operator_equal``.
-    Only a relation that fails is scanned for its least witness in the test
-    set of ``depth``; one with no witness there passes at that depth.  All
-    failing instances are reported, each with its least witness.  A custom
-    family with a key that is no path of ``rep.graph`` raises GraphError.
+    The canonical family (``family`` None) is read in closed form, with no
+    element built and no test vector listed (see the module docstring): on
+    the boundary, omega and twisted kinds only R can fail, on its scalar
+    (``_class_scalar``); on left-regular each CK[v] fails at xi_v and each
+    R[mu] at xi_{r(mu)}.  A custom family decides every relation with
+    ``operator_equal``, and only a relation that fails is scanned for its
+    least witness in the test set of ``depth``; one with no witness there
+    passes at that depth.  All failing instances are reported, each with its
+    least witness.  A custom family that lacks a generator of its index
+    graph, or has a key that is no path of ``rep.graph``, raises GraphError.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     canonical = family is None
-    for kind, gens in () if canonical else (("p", family.p), ("s", family.s)):
+    idx = rep.graph if canonical else family.index
+    for kind, gens, names in () if canonical else (("p", family.p, idx.vertices), ("s", family.s, idx.edges)):
+        missing = next((k for k in names if k not in gens), None)
+        if missing is not None:
+            raise GraphError(f"family lacks the generator {kind}[{missing}] of its index graph")
         for k, x in gens.items():
             if not all(_is_path_of(rep.graph, p) for key in x.terms for p in key):
                 raise GraphError(f"family generator {kind}[{k}] is not over the represented graph")
-    idx = rep.graph if canonical else family.index
     mind = min_verification_depth(idx, level)
     if depth is None:
         depth = mind + len(rep.graph.vertices)
     if depth < mind:
         raise ValueError(f"depth {depth} is below the required minimum {mind}")
-    if canonical and level == TCK:  # T1-T3 hold by the product rule
-        return RelationReport(level=level, depth=depth, failures=(), kappa=())
-    fam = canonical_family(rep.graph, rep.mode) if canonical else family
     # scalars print in polar style when some phase is no quarter turn
     polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
-    scalars: list[tuple[CycleClass, object]] = []
-
-    def identity(name, e1, e2):
-        if operator_equal(rep, e1, e2):
-            return
-        witness = _least_witness(rep, depth, lambda x: not combos_equal(apply(rep, e1, x), apply(rep, e2, x)))
-        if witness is not None:
-            failures.append(RelationFailure(name, witness.render()))
-
-    nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else EXACT)
     receiving = [v for v in idx.vertices if idx.in_edges(v)]
-    defects = {v: ck_defect(fam, v) for v in receiving}
 
-    if not canonical:  # T1-T3 hold by the product rule on the canonical family
+    if canonical:
+        if level != TCK and rep.kind == LEFT_REGULAR:
+            failures += [RelationFailure(f"CK[{v}]", idx.empty_path(v).render()) for v in receiving]
+    else:
+        def identity(name, e1, e2):
+            if operator_equal(rep, e1, e2):
+                return
+            witness = _least_witness(rep, depth, lambda x: not combos_equal(apply(rep, e1, x), apply(rep, e2, x)))
+            if witness is not None:
+                failures.append(RelationFailure(name, witness.render()))
+
+        nothing = AlgebraElement({}, family.p[idx.vertices[0]].mode if idx.vertices else EXACT)
+        defects = {v: ck_defect(family, v) for v in receiving}
         for i, u in enumerate(idx.vertices):
             for v in idx.vertices[i:]:
                 name = f"T1[{u}]" if u == v else f"T1[{u},{v}]"
-                identity(name, fam.p[u] * fam.p[v], fam.p[u] if u == v else nothing)
+                identity(name, family.p[u] * family.p[v], family.p[u] if u == v else nothing)
 
         for e in idx.edges:
-            identity(f"T2[{e}]", fam.s[e].adjoint() * fam.s[e], fam.p[idx.source_of(e)])
+            identity(f"T2[{e}]", family.s[e].adjoint() * family.s[e], family.p[idx.source_of(e)])
 
         for v in receiving:  # d^* d = d exactly when d is a projection
             identity(f"T3[{v}]", defects[v].adjoint() * defects[v], defects[v])
 
-    if level != TCK:
-        for v in receiving:
-            identity(f"CK[{v}]", defects[v], nothing)
+        if level != TCK:
+            for v in receiving:
+                identity(f"CK[{v}]", defects[v], nothing)
 
     if level in (REDUCED, NORMALIZED):
         for cls in entrance_free_classes(idx):
             class_scalar = None
             for mu in cls.members:
-                witness, scalar = _cycle_scalar(rep, fam, mu, depth)
-                if scalar is not None and mu == cls.representative:
-                    scalars.append((cls, scalar))
+                witness, scalar = _class_scalar(rep, mu) if canonical else _cycle_scalar(rep, family, mu, depth)
                 if witness is not None:
                     problem = witness.render()
                 elif scalar is None:
@@ -409,31 +413,21 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
                     (cls.representative.render(), exact.render(class_scalar, polar))
                 )
 
-    return RelationReport(
-        level=level,
-        depth=depth,
-        failures=tuple(failures),
-        kappa=tuple(kappa_found),
-        scalars=tuple(scalars) if level in (REDUCED, NORMALIZED) else None,
-    )
+    return RelationReport(level=level, depth=depth, failures=tuple(failures), kappa=tuple(kappa_found))
 
 
-def extract_kappa(rep: Representation, depth: int | None = None):
+def extract_kappa(rep: Representation):
     """The phase by which each entrance-free cycle isometry acts on its
-    periodic point, decided as in ``verify_relations``; raises
-    NotReducedError when the action is not scalar, naming the least witness
-    in the test set of ``depth`` (by default 1 + |mu| + |vertices|)."""
-    g = rep.graph
-    fam = canonical_family(g, rep.mode)
+    periodic point, read in closed form as in ``verify_relations``; raises
+    NotReducedError on left-regular, naming the vector xi_{r(mu)} that s_mu
+    moves."""
     out = {}
-    for cls in entrance_free_classes(g):
+    for cls in entrance_free_classes(rep.graph):
         mu = cls.representative
-        d = depth if depth is not None else 1 + len(mu) + len(g.vertices)
-        witness, scalar = _cycle_scalar(rep, fam, mu, d)
-        if witness is not None or scalar is None:
-            detail = witness.render() if witness is not None else "no test vector"
+        witness, scalar = _class_scalar(rep, mu)
+        if witness is not None:
             raise NotReducedError(
-                f"s[{mu.render()}] is not scalar on its periodic point ({detail})"
+                f"s[{mu.render()}] is not scalar on its periodic point ({witness.render()})"
             )
         if not exact.is_unit(scalar):
             raise NotReducedError(f"s[{mu.render()}] acts by a non-unit {scalar}")
@@ -451,4 +445,4 @@ def rescale_family(rep: Representation) -> Representation:
     for x, ph in rep.kappa.items():
         kc = extracted[class_of_edge(rep.graph, x)]  # a Phase or a complex, like ph
         new_kappa[x] = ph * kc.conjugate()
-    return twisted_boundary(rep.graph, new_kappa, rep.cutting_set)
+    return twisted_boundary(rep.graph, new_kappa)

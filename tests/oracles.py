@@ -446,7 +446,7 @@ def length_refinement_equal(rep, a: AlgebraElement, b: AlgebraElement) -> bool:
         return a == b
     g = rep.graph
     if rep.kind == TWISTED:
-        untwist = GeneratorRescaling(g, rep.cutting_set, rep.kappa).rescale_element
+        untwist = GeneratorRescaling(g, tuple(sorted(rep.kappa)), rep.kappa).rescale_element
         a, b = untwist(a), untwist(b)
     length = max((len(beta) for e in (a, b) for _, beta in e.terms), default=0)
     return _boundary_normal_form(g, a, length) == _boundary_normal_form(g, b, length)

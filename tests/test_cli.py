@@ -303,20 +303,14 @@ def test_no_flag_leaks_from_one_call_to_the_next(files, capsys):
         assert _run(capsys, second) == _fresh_process(second)
 
 
-def test_twisted_verify_reads_the_scalars_of_its_report(files, capsys, monkeypatch):
-    """From ``reduced`` on, the kappa entries come from the report's scalars."""
+def test_twisted_verify_reports_kappa_at_every_level(files, capsys):
+    """The kappa entries come from ``extract_kappa`` at every level, also
+    where the report fails on the scalar they name."""
     argv = ["verify", files["g2"], "--rep=twisted", "--kappa=e2:1/6"]
-
-    def refuse(rep, depth=None):
-        raise AssertionError("extract_kappa was called")
-
-    monkeypatch.setattr(cli, "extract_kappa", refuse)
-    for level, code in (("reduced", 0), ("normalized", 1)):
+    for level, code in (("tck", 0), ("ck", 0), ("reduced", 0), ("normalized", 1)):
         got, out, _ = _run(capsys, [*argv, f"--level={level}"])
         assert got == code and json.loads(out)["result"]["kappa"] == [
-            {"class": "e1 e2", "turn": "1/6", "value": "1@1/6"}]
-    with pytest.raises(AssertionError, match="extract_kappa"):
-        main([*argv, "--level=ck"])
+            {"class": "e1 e2", "turn": "1/6", "value": "1@1/6"}], level
 
 
 def test_expect_examples(files, capsys):
@@ -343,8 +337,9 @@ def test_pretty_mode_runs(files, capsys):
 
 
 def test_verify_decides_graphs_above_the_old_budget(capsys, tmp_path):
-    """Graphs whose full test set is far above WORK_BUDGET: passing relations
-    build no test set, and failing ones stop at their least witness."""
+    """Graphs whose full test set is far above WORK_BUDGET: the reports are
+    read in closed form, and failing relations print their least witness
+    without a search."""
     dense = tmp_path / "dense.graph"
     dense.write_text(BUDGET_GRAPH)
     layered = tmp_path / "layered.graph"
@@ -499,3 +494,20 @@ def test_expect_output_matches_the_recorded_golden_file(tmp_path, capsys):
         got = _run(capsys, ["expect", str(tmp_path / f"{record['graph']}.graph"),
                             f"--element={record['element']}"])
         assert got == (record["code"], record["stdout"], record["stderr"]), record["element"]
+
+
+CLI_GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+def test_cli_output_matches_the_recorded_golden_file(tmp_path, capsys):
+    """Every command of ``tests/data/make_cli_golden.py`` prints exactly what
+    was recorded: exit code, standard output and standard error, byte for byte."""
+    graphs = dict(CORPUS + EXTRAS)
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.graph").write_text(g.to_text())
+    assert len(CLI_GOLDEN) >= 1300 and {r["graph"] for r in CLI_GOLDEN} == set(graphs)
+    assert {r["code"] for r in CLI_GOLDEN} == {0, 1, 2}
+    for record in CLI_GOLDEN:
+        argv = record["argv"]
+        got = _run(capsys, [argv[0], str(tmp_path / f"{record['graph']}.graph"), *argv[1:]])
+        assert got == (record["code"], record["stdout"], record["stderr"]), (record["graph"], argv)

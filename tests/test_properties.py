@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from graphck import (
     Graph,
@@ -56,7 +56,7 @@ from graphck import (
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
 from graphck.reps import LEVELS, _test_vectors
-from corpus import BUDGET_GRAPH, kernel_elements, layered_graph
+from corpus import BUDGET_GRAPH, kernel_elements, layered_graph, random_graphs
 from oracles import (
     basis_elements,
     boundary_set_oracle,
@@ -385,6 +385,46 @@ def test_heads_refinement_matches_the_length_refinement(g, k, data):
         verdict = operator_equal(rep, a, b)
         assert verdict == length_refinement_equal(rep, a, b), rep
         assert verdict or not equal, rep
+
+
+# seeds whose ``random_graphs`` graph has an entrance-free cycle to twist
+# (a Toeplitz double has none)
+TWISTABLE_SEEDS = [seed for seed in range(300) if entrance_free_classes(random_graphs(seed, 1, max_vertices=6)[0])]
+
+
+@st.composite
+def canonical_reps(draw):
+    """A representation of a seeded ``random_graphs`` graph: left-regular,
+    boundary or omega (where supported), also of the graph's Toeplitz
+    double, or twisted at quarter, k/12 or level-840 turns or by complex
+    units."""
+    kind = draw(st.sampled_from(["left-regular", "boundary", "omega", "twisted", "complex"]))
+    twisted = kind in ("twisted", "complex")
+    seed = draw(st.sampled_from(TWISTABLE_SEEDS) if twisted else st.integers(0, 10**6))
+    g = random_graphs(seed, 1, max_vertices=6)[0]
+    if not twisted and draw(st.booleans()):
+        g = toeplitz_graph(g).graph
+    if kind == "left-regular":
+        return left_regular(g)
+    if not twisted:
+        return omega(g) if kind == "omega" and omega_supported(g) else boundary(g)
+    n = draw(st.sampled_from([4, 12, 840]))
+    turns = {x: Fraction(draw(st.integers(0, n - 1)), n) for x in canonical_cutting_set(g)}
+    if kind == "complex":
+        return twisted_boundary(g, {x: cmath.exp(2j * math.pi * t) for x, t in turns.items()})
+    return twisted_boundary(g, {x: Phase(t) for x, t in turns.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_reps())
+def test_canonical_reports_match_the_explicit_family(rep):
+    """The closed-form canonical report equals the report of the general
+    route on the explicit canonical family, at every level."""
+    event(f"{rep.kind} {rep.mode}")
+    fam = canonical_family(rep.graph, rep.mode)
+    for level in LEVELS:
+        assert report_tuple(verify_relations(rep, level)) == report_tuple(
+            verify_relations(rep, level, family=fam)), level
 
 
 # The scan oracle applies every relation to every vector of its test set; a

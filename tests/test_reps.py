@@ -53,7 +53,7 @@ from graphck import (
     vertex_projection,
     zero,
 )
-from graphck import exact, is_cofinal, reps
+from graphck import algebra, exact, is_cofinal, reps
 from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, layered_graph, random_element
 from oracles import (
     basis_elements,
@@ -176,13 +176,20 @@ def test_twisted_reduced_and_extract_kappa():
 
 
 def test_reports_carry_the_cycle_scalars_extract_kappa_reads():
+    """``report.kappa`` prints the scalars that ``extract_kappa`` reads: every
+    class at ``reduced``, and at ``normalized`` the classes whose scalar is 1,
+    the others failing on that scalar."""
     g = parse_graph("vertex u\nvertex v\nvertex w\nedge e1 : u -> v\nedge e2 : v -> u\n"
                     "edge f : w -> w\n")
-    trep = twisted_boundary(g, {"e2": Phase(Fraction(1, 3)), "f": Phase(Fraction(5, 6))})
-    for level in (REDUCED, NORMALIZED):
-        scalars = verify_relations(trep, level).scalars
-        assert {cls: exact.as_phase(c) for cls, c in scalars} == extract_kappa(trep)
-    assert verify_relations(trep, CK).scalars is None
+    for f_turn in (Fraction(5, 6), Fraction(0)):
+        trep = twisted_boundary(g, {"e2": Phase(Fraction(1, 3)), "f": Phase(f_turn)})
+        read = {cls.representative.render(): exact.render(exact.from_phase(ph), polar=True)
+                for cls, ph in extract_kappa(trep).items()}
+        assert read["e1 e2"] == "1@1/3" and dict(verify_relations(trep, REDUCED).kappa) == read
+        normalized = verify_relations(trep, NORMALIZED)
+        assert dict(normalized.kappa) == {r: v for r, v in read.items() if v == "1"}
+        assert {f.witness for f in normalized.failures} == {f"scalar {v} is not 1" for v in read.values() if v != "1"}
+        assert verify_relations(trep, CK).kappa == ()
 
 
 def test_complex_twist_on_an_exact_family():
@@ -203,28 +210,28 @@ def test_extract_kappa_decides_graphs_above_the_old_budget():
     g = parse_graph(BUDGET_GRAPH + "vertex w\nedge lw : w -> w\n")
     started = time.perf_counter()
     assert list(extract_kappa(boundary(g)).values()) == [Phase(0)]
-    assert list(extract_kappa(boundary(g), depth=2).values()) == [Phase(0)]
     trep = twisted_boundary(g, {"lw": Phase(Fraction(1, 6))})
     assert list(extract_kappa(trep).values()) == [Phase(Fraction(1, 6))]
     assert time.perf_counter() - started < 2.0
 
 
 def test_witness_search_stops_at_the_least_witness(monkeypatch):
-    """The left-regular CK witnesses are the empty paths, the first layer of
-    the test set, so the search generates nothing past it; a search that
-    needs more than WORK_BUDGET paths and vectors is refused."""
+    """On the explicit canonical family, the left-regular CK witnesses are the
+    empty paths, the first layer of the test set, so the search generates
+    nothing past it; a search that needs more than WORK_BUDGET paths and
+    vectors is refused."""
     g = layered_graph(18)
+    fam = canonical_family(g)
     n, budget = len(g.vertices), reps.WORK_BUDGET
     monkeypatch.setattr(reps, "WORK_BUDGET", n)
-    report = verify_relations(left_regular(g), CK)
-    assert [f.witness for f in report.failures] == [f"@{v}" for v in g.vertices if g.in_edges(v)]
+    least = verify_relations(left_regular(g), CK, family=fam).failures
+    assert [f.witness for f in least] == [f"@{v}" for v in g.vertices if g.in_edges(v)]
     monkeypatch.setattr(reps, "WORK_BUDGET", n - 1)
     with pytest.raises(WorkBudgetError, match=f"more than {n - 1} paths"):
-        verify_relations(left_regular(g), CK)
+        verify_relations(left_regular(g), CK, family=fam)
     # a custom family whose T1[a] fails first on the path gamma, behind the
     # thousands of shorter left-regular test vectors
     gamma = g.path(["e01xa"] + [f"e{k:02d}xx" for k in range(2, 9)])
-    fam = canonical_family(g)
     s_gamma = path_isometry(g, gamma)
     bent = GeneratorFamily(g, {**fam.p, "a": fam.p["a"] + s_gamma * s_gamma.adjoint()}, fam.s)
     monkeypatch.setattr(reps, "WORK_BUDGET", budget)
@@ -234,10 +241,12 @@ def test_witness_search_stops_at_the_least_witness(monkeypatch):
     monkeypatch.setattr(reps, "WORK_BUDGET", 1000)
     with pytest.raises(WorkBudgetError, match="more than 1000 paths"):
         verify_relations(left_regular(g), TCK, family=bent)
-    # the budget bounds only the witness search: passing relations build nothing
+    # the budget bounds only the witness search: passing relations build
+    # nothing, and canonical reports read their witnesses without a search
     monkeypatch.setattr(reps, "WORK_BUDGET", 0)
-    assert verify_relations(boundary(g), CK).passed
-    assert verify_relations(left_regular(g), TCK).passed
+    assert verify_relations(boundary(g), CK, family=fam).passed
+    assert verify_relations(left_regular(g), TCK, family=fam).passed
+    assert verify_relations(left_regular(g), CK).failures == least
 
 
 def test_cycle_relation_on_the_toeplitz_family_reads_the_twin_projections():
@@ -309,26 +318,36 @@ def test_toeplitz_relations_hold_formally_on_the_canonical_family():
                 assert d.adjoint() == d and d * d == d, (g, v)
 
 
-def test_canonical_tck_reports_build_no_element(monkeypatch):
+def test_canonical_reports_build_no_element(monkeypatch):
+    """Canonical reports at every level read CK and R in closed form: they
+    build, compare and scan nothing, and equal the explicit-family route."""
     rng = random.Random(7)
     cases = []
     for name, g in CORPUS:
         kappa = {x: Phase(Fraction(rng.randrange(12), 12)) for x in canonical_cutting_set(g)}
         cases += [(name, rep) for rep in (left_regular(g), boundary(g), omega(g), twisted_boundary(g, kappa))]
+    expected = {(name, rep.kind, level): report_tuple(verify_relations(
+        rep, level, family=canonical_family(rep.graph, rep.mode))) for name, rep in cases for level in reps.LEVELS}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a canonical tck report built or compared an element")
+        raise AssertionError("a canonical report built, compared or scanned something")
 
+    assert not hasattr(reps, "canonical_family")
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
     monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
-    monkeypatch.setattr(reps, "operator_equal", refuse)
-    monkeypatch.setattr(reps, "ck_defect", refuse)
-    monkeypatch.setattr(reps, "canonical_family", refuse)
+    for name in ("operator_equal", "ck_defect", "_cycle_scalar", "_test_vectors"):
+        monkeypatch.setattr(reps, name, refuse)
+    monkeypatch.setattr(algebra, "canonical_family", refuse)
     for name, rep in cases:
-        report = verify_relations(rep, TCK)
-        assert report.passed and report.depth == 1 + len(rep.graph.vertices), (name, rep.kind)
-        assert verify_relations(rep, TCK, depth=3).depth == 3
-        with pytest.raises(ValueError, match="minimum"):
-            verify_relations(rep, TCK, depth=0)
+        for level in reps.LEVELS:
+            report = verify_relations(rep, level)
+            assert report_tuple(report) == expected[name, rep.kind, level], (name, rep.kind, level)
+            mind = reps.min_verification_depth(rep.graph, level)
+            assert report.depth == mind + len(rep.graph.vertices), (name, rep.kind, level)
+            assert verify_relations(rep, level, depth=mind + 1).depth == mind + 1
+            with pytest.raises(ValueError, match="minimum"):
+                verify_relations(rep, level, depth=mind - 1)
+        assert verify_relations(rep, TCK).passed, (name, rep.kind)
         with pytest.raises(ValueError, match="unknown level"):
             verify_relations(rep, "tk")
 
@@ -396,6 +415,34 @@ def test_a_family_over_another_graph_is_refused():
         with pytest.raises(GraphError, match=r"generator s\[e\]"):
             verify_relations(rep, TCK, family=canonical_family(reversed_e))
         assert verify_relations(rep, TCK, family=canonical_family(g)).passed
+
+
+def test_an_incomplete_family_is_refused():
+    """A custom family must give a generator for every vertex and edge of its
+    index graph; a missing one is named instead of raising KeyError."""
+    g = Graph(["u", "v"], [("e", "u", "v")])
+    fam = canonical_family(g)
+    for rep in (left_regular(g), boundary(g)):
+        for level in reps.LEVELS:
+            with pytest.raises(GraphError, match=r"lacks the generator p\[v\]"):
+                verify_relations(rep, level, family=GeneratorFamily(g, {"u": fam.p["u"]}, fam.s))
+            with pytest.raises(GraphError, match=r"lacks the generator s\[e\]"):
+                verify_relations(rep, level, family=GeneratorFamily(g, fam.p, {}))
+            assert verify_relations(rep, level, family=fam).passed == (rep.kind == BOUNDARY or level == TCK)
+
+
+def test_a_kappa_above_level_1000_fails_only_where_its_scalar_is_read():
+    """CK holds on a twisted representation whatever its kappa, so only
+    ``reduced`` and ``normalized``, which read the cycle scalar, need the
+    level of kappa and raise LevelError (the CLI, which prints kappa at every
+    level, exits 2 on each)."""
+    rep = twisted_boundary(g2_cyc2(), {"e1": Phase(Fraction(1, 1001))})
+    assert verify_relations(rep, TCK).passed and verify_relations(rep, CK).passed
+    for level in (REDUCED, NORMALIZED):
+        with pytest.raises(exact.LevelError, match="level 1001"):
+            verify_relations(rep, level)
+    with pytest.raises(exact.LevelError, match="level 1001"):
+        extract_kappa(rep)
 
 
 def test_extract_kappa_rejects_left_regular():
