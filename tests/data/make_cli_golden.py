@@ -6,14 +6,28 @@ Usage (from the repository root):
 
 ``commands()`` is the one table of recorded commands; each row is a graph
 name and the argument list, with the graph file inserted after the command
-name.  Today it covers ``verify`` on every graph of ``corpus.CORPUS`` and
-``corpus.EXTRAS``: every representation and level, at ``--depth=1`` and at
-the default depth, twisted kappa at quarter, k/12 and level-840 turns, and
-the exit-2 messages of a depth below the minimum, an omega basis the graph
-does not support, a malformed kappa, a kappa that is no cutting set and a
-kappa whose level is above 1000.  The recorded file pins exit code, standard
-output and standard error byte for byte; regenerate it only for an intended
-change of output.
+name.  ``graph_texts()`` maps each graph name to the text of its file.  The
+table covers every command on every graph of ``corpus.CORPUS`` and
+``corpus.EXTRAS``:
+
+- ``verify``: every representation and level, at ``--depth=1`` and at the
+  default depth, twisted kappa at quarter, k/12 and level-840 turns, and the
+  exit-2 messages of a depth below the minimum, an omega basis the graph does
+  not support, a malformed kappa, a kappa that is no cutting set and a kappa
+  whose level is above 1000;
+- ``analyze``, ``transform --toeplitz``, ``transform --reduce``, ``tails``
+  and ``tails --toeplitz-of``;
+- ``transform --reduce --cutting-set=`` with the largest edge of each
+  entrance-free class, where that set is not the canonical one, and with the
+  graph's least edge, where the graph has a class (exit 2 when that edge is
+  no cutting set);
+- ``--pretty`` on one ``analyze``, ``transform``, ``tails`` and ``verify``
+  command.
+
+It also records ``analyze`` on three malformed graph texts (``MALFORMED``):
+a dangling edge endpoint, a duplicate vertex id and an unrecognized
+declaration.  The recorded file pins exit code, standard output and standard
+error byte for byte; regenerate it only for an intended change of output.
 """
 
 from __future__ import annotations
@@ -36,6 +50,11 @@ REPS = ("left-regular", "boundary", "omega")
 LEVELS = ("tck", "ck", "reduced", "normalized")
 DEPTHS = (("--depth=1",), ())
 TURN_DENOMINATORS = (4, 4, 12, 12, 840, 840)
+MALFORMED = {
+    "malformed-dangling": "vertex v\nedge e : v -> q\n",
+    "malformed-duplicate": "vertex v\nvertex w\nvertex v\n",
+    "malformed-declaration": "vertex v\nnode w\n",
+}
 
 
 def kappa_text(edges, turns) -> str:
@@ -72,9 +91,30 @@ def verify_commands(rng, g):
     return rows
 
 
+def structure_commands(g):
+    rows = [["analyze"], ["transform", "--toeplitz"], ["transform", "--reduce"],
+            ["tails"], ["tails", "--toeplitz-of"]]
+    classes = entrance_free_classes(g)
+    largest = sorted(max(cls.edge_set) for cls in classes)
+    if tuple(largest) != canonical_cutting_set(g):
+        rows.append(["transform", "--reduce", f"--cutting-set={','.join(largest)}"])
+    if classes:
+        rows.append(["transform", "--reduce", f"--cutting-set={min(g.edges)}"])
+    rows += [["analyze", "--pretty"], ["transform", "--reduce", "--pretty"],
+             ["tails", "--toeplitz-of", "--pretty"],
+             ["verify", "--rep=left-regular", "--level=reduced", "--pretty"]]
+    return rows
+
+
+def graph_texts() -> dict[str, str]:
+    return {**{name: g.to_text() for name, g in CORPUS + EXTRAS}, **MALFORMED}
+
+
 def commands():
     rng = random.Random(SEED)
-    return [(name, argv) for name, g in CORPUS + EXTRAS for argv in verify_commands(rng, g)]
+    rows = [(name, argv) for name, g in CORPUS + EXTRAS for argv in verify_commands(rng, g)]
+    rows += [(name, argv) for name, g in CORPUS + EXTRAS for argv in structure_commands(g)]
+    return rows + [(name, ["analyze"]) for name in MALFORMED]
 
 
 def run(argv):
@@ -85,14 +125,14 @@ def run(argv):
 
 
 def main() -> None:
-    graphs = dict(CORPUS + EXTRAS)
+    texts = graph_texts()
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in commands():
             path = os.path.join(tmp, f"{name}.graph")
             if not os.path.exists(path):
                 with open(path, "w") as fh:
-                    fh.write(graphs[name].to_text())
+                    fh.write(texts[name])
             code, out, err = run([argv[0], path, *argv[1:]])
             records.append({"graph": name, "argv": argv, "code": code, "stdout": out, "stderr": err})
     sys.stdout.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -497,15 +498,23 @@ def test_expect_output_matches_the_recorded_golden_file(tmp_path, capsys):
 
 
 CLI_GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+_GENERATOR = pathlib.Path(__file__).parent / "data" / "make_cli_golden.py"
+_SPEC = importlib.util.spec_from_file_location("make_cli_golden", _GENERATOR)
+make_cli_golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(make_cli_golden)
 
 
 def test_cli_output_matches_the_recorded_golden_file(tmp_path, capsys):
     """Every command of ``tests/data/make_cli_golden.py`` prints exactly what
-    was recorded: exit code, standard output and standard error, byte for byte."""
-    graphs = dict(CORPUS + EXTRAS)
-    for name, g in graphs.items():
-        (tmp_path / f"{name}.graph").write_text(g.to_text())
-    assert len(CLI_GOLDEN) >= 1300 and {r["graph"] for r in CLI_GOLDEN} == set(graphs)
+    was recorded: exit code, standard output and standard error, byte for byte.
+    The recorded commands are the generator's, so neither drifts alone."""
+    texts = make_cli_golden.graph_texts()
+    for name, text in texts.items():
+        (tmp_path / f"{name}.graph").write_text(text)
+    assert [(r["graph"], r["argv"]) for r in CLI_GOLDEN] == make_cli_golden.commands()
+    assert len(CLI_GOLDEN) >= 1500 and {r["graph"] for r in CLI_GOLDEN} == set(texts)
+    assert {r["graph"] for r in CLI_GOLDEN} >= {name for name, _ in CORPUS + EXTRAS}
+    assert {r["argv"][0] for r in CLI_GOLDEN} == {"analyze", "transform", "tails", "verify"}
     assert {r["code"] for r in CLI_GOLDEN} == {0, 1, 2}
     for record in CLI_GOLDEN:
         argv = record["argv"]
