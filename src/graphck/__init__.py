@@ -51,8 +51,6 @@ from .cycles import (
     simple_cycles,
 )
 from .exact import (
-    COMPLEX,
-    EXACT,
     Cyclotomic,
     ExactnessError,
     GaussianRational,

@@ -8,8 +8,10 @@ Toeplitz relations:
                              s_a s_{d b'}^*   if b = c b',
                              0                 otherwise.
 
-Coefficients are exact cyclotomic values or, in the complex mode, machine
-complex numbers; an element with a complex operand is complex.
+Coefficients are exact cyclotomic values or machine complex numbers (see
+``exact``).  An element is inexact exactly when one of its coefficients is
+complex; sums and products with an inexact operand are inexact, and exact
+ones stay exact.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Mapping
 
 from . import exact
 from .cycles import entrance_free_classes
-from .exact import COMPLEX, EXACT
 from .graph import Graph, GraphError, Path, path_key
 
 
@@ -42,9 +43,9 @@ def compose(left: tuple[Path, Path], right: tuple[Path, Path]) -> tuple[Path, Pa
 class AlgebraElement:
     """A finite formal sum of monomials c * s_alpha s_beta^*."""
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[Path, Path], object], mode: str = EXACT):
+    def __init__(self, terms: Mapping[tuple[Path, Path], object]):
         clean: dict[tuple[Path, Path], object] = {}
         for (a, b), c in terms.items():
             if a.source != b.source:
@@ -54,7 +55,6 @@ class AlgebraElement:
             if not exact.is_zero(c):
                 clean[(a, b)] = c
         self.terms = clean
-        self.mode = mode
 
     @property
     def is_zero(self) -> bool:
@@ -64,11 +64,10 @@ class AlgebraElement:
         return sorted(self.terms.items(), key=lambda kv: term_key(kv[0]))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        mode = self.mode if self.mode == other.mode else COMPLEX
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = exact.add(out[key], c) if key in out else c
-        return AlgebraElement(out, mode)
+        return AlgebraElement(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -79,7 +78,6 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return self.scaled(other)
-        mode = self.mode if self.mode == other.mode else COMPLEX
         out: dict[tuple[Path, Path], object] = {}
         for left, c1 in self.terms.items():
             for right, c2 in other.terms.items():
@@ -89,23 +87,23 @@ class AlgebraElement:
                 c = exact.mul(c1, c2)
                 key_c = exact.add(out[key], c) if key in out else c
                 out[key] = key_c
-        return AlgebraElement(out, mode)
+        return AlgebraElement(out)
 
     def __rmul__(self, other) -> "AlgebraElement":
         return self.scaled(other)
 
     def scaled(self, scalar) -> "AlgebraElement":
-        coeff = exact.coerce(scalar, self.mode)
+        """``scalar`` times the element.  An element with a complex coefficient
+        takes the scalar as complex; any other refuses an inexact scalar."""
+        inexact = any(isinstance(c, complex) for c in self.terms.values())
+        coeff = exact.as_complex(scalar) if inexact else exact.coerce(scalar)
         return self.map_coefficients(lambda c: exact.mul(coeff, c))
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(
-            {(b, a): c.conjugate() for (a, b), c in self.terms.items()},
-            self.mode,
-        )
+        return AlgebraElement({(b, a): c.conjugate() for (a, b), c in self.terms.items()})
 
     def map_coefficients(self, fn) -> "AlgebraElement":
-        return AlgebraElement({k: fn(c) for k, c in self.terms.items()}, self.mode)
+        return AlgebraElement({k: fn(c) for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
@@ -165,33 +163,31 @@ def _coeff_str(c, polar: bool):
     return neg, None if text == "1" else text
 
 
-def zero(mode: str = EXACT) -> AlgebraElement:
-    return AlgebraElement({}, mode)
+def zero() -> AlgebraElement:
+    return AlgebraElement({})
 
 
-def vertex_projection(g: Graph, v: str, mode: str = EXACT) -> AlgebraElement:
+def vertex_projection(g: Graph, v: str) -> AlgebraElement:
     """p_v = s_v s_v^* keyed by the empty path at v."""
     empty = g.empty_path(v)
-    return AlgebraElement({(empty, empty): exact.coerce(1, mode)}, mode)
+    return AlgebraElement({(empty, empty): exact.ONE})
 
 
-def path_isometry(g: Graph, path, mode: str = EXACT) -> AlgebraElement:
+def path_isometry(g: Graph, path) -> AlgebraElement:
     """s_alpha for a path (an edge id, an id sequence, or a Path)."""
     if isinstance(path, str):
         path = g.edge_path(path)
     elif not isinstance(path, Path):
         path = g.path(list(path))
     if path.is_empty:
-        return vertex_projection(g, path.range, mode)
-    return AlgebraElement(
-        {(path, Path((), (path.source,))): exact.coerce(1, mode)}, mode
-    )
+        return vertex_projection(g, path.range)
+    return AlgebraElement({(path, Path((), (path.source,))): exact.ONE})
 
 
-def monomial(g: Graph, alpha: Path, beta: Path, coeff=1, mode: str = EXACT) -> AlgebraElement:
+def monomial(g: Graph, alpha: Path, beta: Path, coeff=1) -> AlgebraElement:
     if alpha.source != beta.source:
         raise GraphError(f"sources differ: {alpha} vs {beta}")
-    return AlgebraElement({(alpha, beta): exact.coerce(coeff, mode)}, mode)
+    return AlgebraElement({(alpha, beta): exact.coerce(coeff)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,11 +208,11 @@ class GeneratorFamily:
         return acc
 
 
-def canonical_family(g: Graph, mode: str = EXACT) -> GeneratorFamily:
+def canonical_family(g: Graph) -> GeneratorFamily:
     return GeneratorFamily(
         index=g,
-        p={v: vertex_projection(g, v, mode) for v in g.vertices},
-        s={e: path_isometry(g, e, mode) for e in g.edges},
+        p={v: vertex_projection(g, v) for v in g.vertices},
+        s={e: path_isometry(g, e) for e in g.edges},
     )
 
 
@@ -263,12 +259,12 @@ def element_w_normal_form(g: Graph, a: AlgebraElement) -> AlgebraElement:
     for (alpha, beta), c in a.terms.items():
         key = (w_normal_form(g, alpha), w_normal_form(g, beta))
         out[key] = exact.add(out[key], c) if key in out else c
-    return AlgebraElement(out, a.mode)
+    return AlgebraElement(out)
 
 
 def diagonal(a: AlgebraElement) -> AlgebraElement:
     """The terms of ``a`` with alpha == beta."""
-    return AlgebraElement({k: c for k, c in a.terms.items() if k[0] == k[1]}, a.mode)
+    return AlgebraElement({k: c for k, c in a.terms.items() if k[0] == k[1]})
 
 
 def diag_expectation(g: Graph, a: AlgebraElement) -> AlgebraElement:

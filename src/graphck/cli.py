@@ -69,16 +69,16 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _print_pretty(report: dict, prefix: str = "") -> None:
-    print(f"{prefix}command : {report['command']}")
-    print(f"{prefix}graph   : {report['fingerprint'][:16]}")
+def _print_pretty(report: dict) -> None:
+    print(f"command : {report['command']}")
+    print(f"graph   : {report['fingerprint'][:16]}")
     for key, value in sorted(report["result"].items()):
         if isinstance(value, list):
-            print(f"{prefix}{key}:")
+            print(f"{key}:")
             for item in value:
-                print(f"{prefix}  - {json.dumps(item, sort_keys=True)}")
+                print(f"  - {json.dumps(item, sort_keys=True)}")
         else:
-            print(f"{prefix}{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {json.dumps(value, sort_keys=True)}")
 
 
 def _cmd_analyze(args) -> int:

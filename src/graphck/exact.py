@@ -1,22 +1,24 @@
 """Exact scalar arithmetic: rational phases and the cyclotomic fields Q(zeta_N).
 
-Two coefficient modes:
+A coefficient is one of two kinds, and the value itself says which:
 
-* ``exact``   -- a :class:`Cyclotomic` value, an element of Q(zeta_N) with
+* exact: a :class:`Cyclotomic` value, an element of Q(zeta_N) with
   zeta_N = exp(2*pi*i/N), stored as integer numerators over one common
   denominator in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) modulo the
   cyclotomic polynomial Phi_N.  Two values of levels N and N' meet in
   Q(zeta_lcm(N, N')).  Rationals live at level 1, Gaussian rationals at level
   4 and the phase of turn k/N at level N, so sums, products, conjugates and
   rational phases all stay exact.
-* ``complex`` -- machine complex numbers, compared within ``TOL``.
+* inexact: a machine ``complex`` number, compared within ``TOL``.  Adding or
+  multiplying an exact value and a complex one gives a complex one.
 
 Gaussian (``(1-2/3i)``) and polar (``mag@turn``, the turn in [0, 1/2), a
 half turn folded into the sign of mag) are two ways of printing an exact
 value.  A value that is no rational multiple of a root of unity prints as a
 parenthesised sum of polar terms over the power basis of its least field.
-An inexact value entering the exact mode raises :class:`ExactnessError`;
-a value that would need a level above ``MAX_LEVEL`` raises :class:`LevelError`.
+``coerce`` refuses an inexact value with :class:`ExactnessError` instead of
+rounding it; a value that would need a level above ``MAX_LEVEL`` raises
+:class:`LevelError`.
 
 The least field is found by a descent one prime at a time
 (``Cyclotomic.minimal``); the levels whose field holds a value are closed
@@ -43,14 +45,11 @@ from functools import lru_cache
 
 TOL = 1e-9
 
-EXACT = "exact"
-COMPLEX = "complex"
-
 HALF = Fraction(1, 2)
 
 
 class ExactnessError(ArithmeticError):
-    """An inexact value was about to enter the exact mode."""
+    """An inexact value was about to enter exact arithmetic."""
 
 
 def _fraction(x) -> Fraction:
@@ -369,12 +368,8 @@ def as_complex(c) -> complex:
     return complex(c)
 
 
-def coerce(value, mode: str):
-    """Convert ``value`` into a coefficient of ``mode``; exact or ExactnessError."""
-    if mode == COMPLEX:
-        return as_complex(value)
-    if mode != EXACT:
-        raise ValueError(f"unknown coefficient mode {mode!r}")
+def coerce(value) -> Cyclotomic:
+    """``value`` as an exact coefficient; ExactnessError for an inexact one."""
     if isinstance(value, Cyclotomic):
         return value
     if isinstance(value, Phase):
@@ -382,7 +377,7 @@ def coerce(value, mode: str):
     if isinstance(value, (int, Fraction)):
         return rational(value)
     if isinstance(value, (complex, float)):
-        raise ExactnessError("inexact value cannot enter the exact mode")
+        raise ExactnessError(f"inexact value {value!r} cannot enter exact arithmetic")
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
 
 
@@ -420,7 +415,7 @@ def scalars_equal(a, b) -> bool:
 
 
 def is_unit(c) -> bool:
-    """Whether |c| == 1, exactly in the exact mode and within TOL otherwise."""
+    """Whether |c| == 1, exactly for an exact value and within TOL for a complex one."""
     if isinstance(c, complex):
         return abs(abs(c) - 1.0) < TOL
     return c * c.conjugate() == ONE

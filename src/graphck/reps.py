@@ -60,7 +60,7 @@ from . import exact
 from .algebra import AlgebraElement, GeneratorFamily, ck_defect, w_normal_form
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
 from .cycles import class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
-from .exact import COMPLEX, EXACT, Phase, as_phase
+from .exact import Phase, as_phase
 from .graph import Graph, GraphError, Path, path_layers
 from .transform import rational_phase, twist
 
@@ -90,13 +90,12 @@ class WorkBudgetError(GraphError):
 class Representation:
     """Immutable descriptor: kind, graph, and (for twisted) edge phases."""
 
-    __slots__ = ("kind", "graph", "kappa", "mode")
+    __slots__ = ("kind", "graph", "kappa")
 
-    def __init__(self, kind, graph, kappa=None, mode=EXACT):
+    def __init__(self, kind, graph, kappa=None):
         self.kind = kind
         self.graph = graph
         self.kappa = dict(kappa) if kappa else {}
-        self.mode = mode
 
     def __repr__(self):
         extra = f", kappa={self.kappa}" if self.kappa else ""
@@ -124,7 +123,8 @@ def twisted_boundary(g: Graph, kappa) -> Representation:
     """Boundary representation with cutting-set generators rescaled by kappa.
 
     ``kappa`` maps the edges of a cutting set to exact phases (rational turns)
-    or, for the inexact mode, to complex units.
+    or to complex units.  When any value is complex (or a float), every value
+    becomes a complex unit, and the representation acts inexactly.
     """
     table = dict(kappa)
     chosen = tuple(sorted(table))
@@ -139,7 +139,7 @@ def twisted_boundary(g: Graph, kappa) -> Representation:
         if abs(abs(v) - 1.0) > exact.TOL:
             raise GraphError(f"kappa[{e}] is not a unit: {v}")
         phases[e] = v
-    return Representation(TWISTED, g, phases, COMPLEX)
+    return Representation(TWISTED, g, phases)
 
 
 def _check_basis(rep: Representation, x) -> None:
@@ -182,7 +182,7 @@ def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) ->
         return a == b
     g = rep.graph
     if rep.kind == TWISTED:
-        a, b = (AlgebraElement({k: twist(c, *k, rep.kappa) for k, c in e.terms.items()}, e.mode)
+        a, b = (AlgebraElement({k: twist(c, *k, rep.kappa) for k, c in e.terms.items()})
                 for e in (a, b))
     heads = {(beta.range, beta.edges[:k])
              for e in (a, b) for _, beta in e.terms for k in range(len(beta))}
@@ -206,7 +206,7 @@ def _boundary_normal_form(g: Graph, a: AlgebraElement, heads) -> AlgebraElement:
             continue
         key = (w_normal_form(g, alpha), beta)
         out[key] = exact.add(out[key], c) if key in out else c
-    return AlgebraElement(out, a.mode)
+    return AlgebraElement(out)
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def _class_scalar(rep: Representation, mu: Path):
     and s_mu acts on it by the twist of mu, as ``apply`` multiplies it."""
     if rep.kind == LEFT_REGULAR:
         return rep.graph.empty_path(mu.range), None
-    return None, twist(exact.coerce(1, rep.mode), mu, rep.graph.empty_path(mu.source), rep.kappa)
+    return None, twist(exact.ONE, mu, rep.graph.empty_path(mu.source), rep.kappa)
 
 
 def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int):
@@ -372,7 +372,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
             if witness is not None:
                 failures.append(RelationFailure(name, witness.render()))
 
-        nothing = AlgebraElement({}, family.p[idx.vertices[0]].mode if idx.vertices else EXACT)
+        nothing = AlgebraElement({})
         defects = {v: ck_defect(family, v) for v in receiving}
         for i, u in enumerate(idx.vertices):
             for v in idx.vertices[i:]:

@@ -33,7 +33,7 @@ from .cycles import (
     entrance_free_classes,
     is_cutting_set,
 )
-from .exact import EXACT, Cyclotomic, Phase, as_phase
+from .exact import Cyclotomic, Phase, as_phase
 from .graph import Graph, GraphError, Path
 
 
@@ -167,18 +167,18 @@ class IdealGenerators:
     pins: tuple[tuple[Phase, CycleClass], ...]
     delta_style: str
 
-    def elements(self, mode: str = EXACT) -> list[AlgebraElement]:
-        fam = canonical_family(self.graph, mode)
+    def elements(self) -> list[AlgebraElement]:
+        fam = canonical_family(self.graph)
         out: list[AlgebraElement] = []
         for v in self.delta_vertices:
             if self.delta_style == "defect":
                 out.append(ck_defect(fam, v))
             else:
-                out.append(vertex_projection(self.graph, v, mode))
+                out.append(vertex_projection(self.graph, v))
         for phase, cls in self.pins:  # kappa(C) p_{r(mu)} - s_mu
             for mu in cls.members:
-                pin = vertex_projection(self.graph, mu.range, mode).scaled(phase)
-                out.append(pin - path_isometry(self.graph, mu, mode))
+                pin = vertex_projection(self.graph, mu.range).scaled(phase)
+                out.append(pin - path_isometry(self.graph, mu))
         return out
 
     def describe(self) -> list[str]:
@@ -224,21 +224,21 @@ def jkappa_generators(tg: ToeplitzGraph, kappa) -> IdealGenerators:
     )
 
 
-def toeplitz_family(tg: ToeplitzGraph, mode: str = EXACT) -> GeneratorFamily:
+def toeplitz_family(tg: ToeplitzGraph) -> GeneratorFamily:
     """The dictionary family over the doubled graph, indexed by the base:
     q_v sums the twin projections and t_e the twin isometries."""
     g = tg.base
     p: dict[str, AlgebraElement] = {}
     s: dict[str, AlgebraElement] = {}
     for v in g.vertices:
-        q = vertex_projection(tg.graph, tg.alpha_v[v], mode)
+        q = vertex_projection(tg.graph, tg.alpha_v[v])
         if v in tg.beta_v:
-            q = q + vertex_projection(tg.graph, tg.beta_v[v], mode)
+            q = q + vertex_projection(tg.graph, tg.beta_v[v])
         p[v] = q
     for e in g.edges:
-        t = path_isometry(tg.graph, tg.alpha_e[e], mode)
+        t = path_isometry(tg.graph, tg.alpha_e[e])
         if e in tg.beta_e:
-            t = t + path_isometry(tg.graph, tg.beta_e[e], mode)
+            t = t + path_isometry(tg.graph, tg.beta_e[e])
         s[e] = t
     return GeneratorFamily(index=g, p=p, s=s)
 
@@ -274,8 +274,7 @@ class GeneratorRescaling:
 
     def rescale_element(self, a: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(
-            {(al, be): twist(c, al, be, self.edge_phases) for (al, be), c in a.terms.items()},
-            a.mode,
+            {(al, be): twist(c, al, be, self.edge_phases) for (al, be), c in a.terms.items()}
         )
 
 

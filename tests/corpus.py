@@ -13,13 +13,13 @@ import random
 from fractions import Fraction
 
 from graphck import (
-    EXACT,
     GaussianRational,
+    GeneratorFamily,
     Graph,
-    Phase,
     canonical_family,
     ck_defect,
     entrance_free_classes,
+    exact,
     omega_supported,
 )
 
@@ -277,7 +277,7 @@ def random_coeff(rng: random.Random) -> GaussianRational:
 
 
 def random_element(rng: random.Random, g: Graph, pool_by_source, max_terms: int = 3):
-    """A random Gaussian-mode element with short keys over the given graph.
+    """A random Gaussian element with short keys over the given graph.
 
     ``pool_by_source`` maps each vertex to the candidate paths with that
     source (precomputed by the caller from enumerate_paths).
@@ -300,17 +300,36 @@ def kernel_elements(g: Graph, rep) -> list:
     """Elements acting as zero in a boundary-type representation of g, so
     adding a multiple of one leaves the operator unchanged: the CK defects
     and, per entrance-free class, the pin kappa(C) p_{r(mu)} - s_mu, with
-    kappa = 1 off the twisted kind.  The elements take the mode of ``rep``
-    (complex phases multiply as complex units).  The left-regular
+    kappa = 1 off the twisted kind.  The elements are complex when ``rep``
+    twists by complex units (``rep_family``).  The left-regular
     representation is faithful, so there the same perturbations give
     near-miss unequal pairs."""
-    fam = canonical_family(g, rep.mode)
+    fam = rep_family(rep)
     kernel = [ck_defect(fam, v) for v in g.vertices if g.in_edges(v)]
-    one = Phase(0) if rep.mode == EXACT else 1
     for cls in entrance_free_classes(g):
         mu = cls.representative
-        kc = one
+        kc = exact.ONE
         for e in mu.edges:
-            kc = kc * rep.kappa.get(e, one)
+            if e in rep.kappa:
+                kc = exact.times_phase(kc, rep.kappa[e])
         kernel.append(fam.p[mu.range].scaled(kc) - fam.s_path(mu))
     return kernel
+
+
+def complex_family(fam: GeneratorFamily) -> GeneratorFamily:
+    """``fam`` with every coefficient a machine complex number."""
+    def convert(elements):
+        return {k: x.map_coefficients(exact.as_complex) for k, x in elements.items()}
+
+    return GeneratorFamily(fam.index, convert(fam.p), convert(fam.s))
+
+
+def is_inexact(rep) -> bool:
+    """Whether ``rep`` twists by complex units, so that it acts inexactly."""
+    return any(isinstance(k, complex) for k in rep.kappa.values())
+
+
+def rep_family(rep) -> GeneratorFamily:
+    """The canonical family of ``rep.graph``, complex when ``rep`` is inexact."""
+    fam = canonical_family(rep.graph)
+    return complex_family(fam) if is_inexact(rep) else fam

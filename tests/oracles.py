@@ -52,7 +52,6 @@ from graphck import (
     RelationFailure,
     RelationReport,
     apply,
-    canonical_family,
     canonicalize,
     ck_defect,
     entrance_free_classes,
@@ -69,6 +68,8 @@ from graphck.exact import Cyclotomic, _cyclotomic_poly, _powers
 from graphck.expr import ExprError, _Parser, _tokenize
 from graphck.graph import Path, path_key
 from graphck.reps import LEVELS, combos_equal
+
+from corpus import rep_family
 
 DEEP_WALK_SEED = 101
 DEEP_WALK_COUNT = 200
@@ -468,7 +469,7 @@ def _boundary_normal_form(g: Graph, a: AlgebraElement, length: int) -> AlgebraEl
             continue
         key = (w_normal_form(g, alpha), beta)
         out[key] = exact.add(out[key], c) if key in out else c
-    return AlgebraElement(out, a.mode)
+    return AlgebraElement(out)
 
 
 def _scan_cycle_scalar(rep, fam, mu, basis):
@@ -498,7 +499,7 @@ def verify_relations_oracle(rep, level: str, depth: int | None = None, family=No
     Exponential in the depth."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    fam = family if family is not None else canonical_family(rep.graph, rep.mode)
+    fam = family if family is not None else rep_family(rep)
     idx = fam.index
     mind = min_verification_depth(idx, level)
     if depth is None:
@@ -516,7 +517,7 @@ def verify_relations_oracle(rep, level: str, depth: int | None = None, family=No
                 return x
         return None
 
-    nothing = AlgebraElement({}, fam.p[idx.vertices[0]].mode if idx.vertices else exact.EXACT)
+    nothing = AlgebraElement({})
     for i, u in enumerate(idx.vertices):
         for v in idx.vertices[i:]:
             w = first_witness(fam.p[u] * fam.p[v], fam.p[u] if u == v else nothing)

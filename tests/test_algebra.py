@@ -5,6 +5,8 @@ import pytest
 
 from graphck import (
     AlgebraElement,
+    Cyclotomic,
+    ExactnessError,
     GaussianRational,
     GraphError,
     Phase,
@@ -56,16 +58,39 @@ def test_multiplication_examples():
     assert (s_e * s_e.adjoint()) * (s_ee * s_ee.adjoint()) == s_ee * s_ee.adjoint()
 
 
+def _coefficient_types(a):
+    return {type(c) for c in a.terms.values()}
+
+
 def test_mixed_mode_rejected():
     # an inexact scalar cannot enter an exact element; an element with a
     # complex operand is complex
     g1 = g1_loop()
-    a = vertex_projection(g1, "v", exact.EXACT)
-    b = vertex_projection(g1, "v", exact.COMPLEX)
-    with pytest.raises(exact.ExactnessError, match="inexact"):
+    a = vertex_projection(g1, "v")
+    b = a.map_coefficients(exact.as_complex)
+    assert _coefficient_types(a) == {Cyclotomic} and _coefficient_types(b) == {complex}
+    with pytest.raises(ExactnessError, match="inexact"):
         a.scaled(0.5 + 0j)
-    assert (a * b).mode == (zero(exact.COMPLEX) + a).mode == exact.COMPLEX
+    for mixed in (a * b, b * a, a + b, zero() + b):
+        assert _coefficient_types(mixed) == {complex}
     assert (a + b) == a.scaled(2)
+
+
+def test_exactness_follows_the_coefficients():
+    """An element is inexact exactly when one of its coefficients is complex:
+    a sum with the zero element stays exact and scales exactly, an exact
+    element refuses an inexact scalar, and its complex copy takes one."""
+    p = vertex_projection(g1_loop(), "v")
+    third = Fraction(1, 3)
+    scaled = (zero() + p).scaled(third)
+    assert scaled == p.scaled(third)
+    assert _coefficient_types(scaled) == {Cyclotomic}
+    assert scaled.render() == "1/3 * p[v]"
+    with pytest.raises(ExactnessError, match="inexact"):
+        p.scaled(0.5j)
+    inexact = p.map_coefficients(exact.as_complex).scaled(0.5j)
+    ((key, c),) = inexact.terms.items()
+    assert c == 0.5j and key == next(iter(p.terms))
 
 
 def test_star_algebra_axioms_on_random_elements():

@@ -29,7 +29,7 @@ from graphck import (
     vertex_projection,
     zero,
 )
-from corpus import CORPUS, g2_cyc2, g3_ent, g4_line, kernel_elements
+from corpus import CORPUS, complex_family, g2_cyc2, g3_ent, g4_line, is_inexact, kernel_elements
 from oracles import deep_walk_equal, length_refinement_equal, test_set_equal_oracle
 
 
@@ -126,7 +126,7 @@ def test_long_beta_agrees_with_the_length_refinement():
 def test_twisted_gaussian_pin_and_defect():
     g = g2_cyc2()
     trep = twisted_boundary(g, {"e1": Phase(Fraction(1, 4))})
-    assert trep.mode == "exact"
+    assert not is_inexact(trep)
     mu = _s(g, "e1", "e2")
     i = GaussianRational(0, 1)
     assert operator_equal(trep, mu, vertex_projection(g, "v").scaled(i))
@@ -151,7 +151,7 @@ def test_gaussian_route_builds_no_test_set(refuse_test_sets):
     assert not operator_equal(trep, mu + p_v, p_v.scaled(2))
     zeta = cmath.exp(2j * math.pi / 3)
     crep = twisted_boundary(g2, {"e1": zeta})
-    cfam = canonical_family(g2, "complex")
+    cfam = complex_family(canonical_family(g2))
     cmu = cfam.s["e1"] * cfam.s["e2"]
     assert operator_equal(crep, cmu, cfam.p["v"].scaled(zeta))
     assert not operator_equal(crep, cmu, cfam.p["v"])
@@ -234,12 +234,12 @@ def _scan_cases():
     yield "polar cycle sum", polar2, mu + fam2.p["v"], fam2.p["v"].scaled(2), False
     zeta = cmath.exp(2j * math.pi / 3)
     cplx = twisted_boundary(g, {"la": zeta})
-    cfam = canonical_family(g, "complex")
+    cfam = complex_family(canonical_family(g))
     yield "complex pin", cplx, cfam.s["la"], cfam.p["a"].scaled(zeta), True
     yield "complex untwisted pin", cplx, cfam.s["la"], cfam.p["a"], False
     yield ("complex two directions", cplx, cfam.p["a"] + cfam.s["la"],
            cfam.p["a"].scaled(1 + zeta), True)
-    yield "complex defect", cplx, ck_defect(cfam, "b"), zero("complex"), True
+    yield "complex defect", cplx, ck_defect(cfam, "b"), zero(), True
     yield "complex loop with entrance", cplx, cfam.s["lb"], cfam.p["b"], False
 
 

@@ -100,14 +100,13 @@ def test_mode_dispatch():
 
 
 def test_coerce_and_units():
-    assert exact.coerce(Fraction(1, 2), exact.EXACT) == GaussianRational(Fraction(1, 2))
-    assert exact.coerce(Phase(Fraction(1, 4)), exact.EXACT) == I
-    assert exact.coerce(Phase(Fraction(1, 3)), exact.EXACT) == PolarCoeff(1, Fraction(1, 3))
-    assert exact.coerce(Phase(Fraction(1, 2)), exact.COMPLEX) == pytest.approx(-1)
-    with pytest.raises(ExactnessError):
-        exact.coerce(0.5 + 0j, exact.EXACT)
-    with pytest.raises(ValueError, match="unknown coefficient mode"):
-        exact.coerce(1, "polar")
+    assert exact.coerce(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
+    assert exact.coerce(Phase(Fraction(1, 4))) == I
+    assert exact.coerce(Phase(Fraction(1, 3))) == PolarCoeff(1, Fraction(1, 3))
+    assert exact.as_complex(Phase(Fraction(1, 2))) == pytest.approx(-1)
+    for inexact in (0.5 + 0j, 0.5):
+        with pytest.raises(ExactnessError, match="inexact"):
+            exact.coerce(inexact)
     assert exact.is_unit(GaussianRational(Fraction(3, 5), Fraction(4, 5)))
     assert not exact.is_unit(PolarCoeff(Fraction(2), Fraction(1, 3)))
     assert exact.is_unit(PolarCoeff(-1, Fraction(2, 7)))

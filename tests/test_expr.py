@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphck import (
     AlgebraElement,
+    Cyclotomic,
     ExprError,
     Graph,
     GaussianRational,
@@ -61,7 +62,7 @@ def test_parse_polar_coefficients():
     ((_, coeff),) = list(el.terms.items())
     assert coeff == PolarCoeff(Fraction(1), Fraction(1, 3))
     mixed = parse_element(g1, "1@1/3 * p[v] + 2 * s[e]")
-    assert mixed.mode == "exact"
+    assert all(isinstance(c, Cyclotomic) for c in mixed.terms.values())
     # two directions add exactly: exp(2 pi i/3) + exp(2 pi i/6) = sqrt(3) i
     (coeff,) = parse_element(g1, "1@1/3 * p[v] + 1@1/6 * p[v]").terms.values()
     assert coeff * coeff == GaussianRational(-3)

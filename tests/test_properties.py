@@ -56,7 +56,7 @@ from graphck import (
 from graphck.algebra import AlgebraElement
 from graphck.graph import enumerate_paths
 from graphck.reps import LEVELS, _test_vectors
-from corpus import BUDGET_GRAPH, kernel_elements, layered_graph, random_graphs
+from corpus import BUDGET_GRAPH, is_inexact, kernel_elements, layered_graph, random_graphs, rep_family
 from oracles import (
     basis_elements,
     boundary_set_oracle,
@@ -349,15 +349,16 @@ def _walk_to(draw, g, w, max_len):
     return p
 
 
-def _long_element(draw, g, mode, max_len=5, max_terms=3):
-    """A random element of ``mode`` whose keys have up to max_len edges."""
+def _long_element(draw, g, inexact, max_len=5, max_terms=3):
+    """A random element, complex when ``inexact``, whose keys have up to
+    max_len edges."""
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
         w = draw(st.sampled_from(g.vertices))
         re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         key = (_walk_to(draw, g, w, max_len), _walk_to(draw, g, w, max_len))
-        terms[key] = complex(re, im) if mode == "complex" else GaussianRational(re, im)
-    return AlgebraElement(terms, mode)
+        terms[key] = complex(re, im) if inexact else GaussianRational(re, im)
+    return AlgebraElement(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,14 +375,15 @@ def test_heads_refinement_matches_the_length_refinement(g, k, data):
     if omega_supported(g):
         reps.append(omega(g))
     for rep in reps:
-        a = _long_element(data.draw, g, rep.mode)
+        inexact = is_inexact(rep)
+        a = _long_element(data.draw, g, inexact)
         kernel = kernel_elements(g, rep)
         equal = bool(kernel) and data.draw(st.booleans())
         if equal:
-            r, t = (_long_element(data.draw, g, rep.mode, max_len=2, max_terms=1) for _ in range(2))
+            r, t = (_long_element(data.draw, g, inexact, max_len=2, max_terms=1) for _ in range(2))
             b = a + r * data.draw(st.sampled_from(kernel)) * t
         else:
-            b = _long_element(data.draw, g, rep.mode)
+            b = _long_element(data.draw, g, inexact)
         verdict = operator_equal(rep, a, b)
         assert verdict == length_refinement_equal(rep, a, b), rep
         assert verdict or not equal, rep
@@ -420,8 +422,8 @@ def canonical_reps(draw):
 def test_canonical_reports_match_the_explicit_family(rep):
     """The closed-form canonical report equals the report of the general
     route on the explicit canonical family, at every level."""
-    event(f"{rep.kind} {rep.mode}")
-    fam = canonical_family(rep.graph, rep.mode)
+    event(f"{rep.kind} {'complex' if is_inexact(rep) else 'exact'}")
+    fam = rep_family(rep)
     for level in LEVELS:
         assert report_tuple(verify_relations(rep, level)) == report_tuple(
             verify_relations(rep, level, family=fam)), level

@@ -9,8 +9,6 @@ import pytest
 from graphck import (
     BOUNDARY,
     CK,
-    COMPLEX,
-    EXACT,
     LEFT_REGULAR,
     NORMALIZED,
     OMEGA,
@@ -54,7 +52,8 @@ from graphck import (
     zero,
 )
 from graphck import algebra, exact, is_cofinal, reps
-from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, layered_graph, random_element
+from corpus import (BUDGET_GRAPH, CORPUS, EXTRAS, complex_family, g1_loop, g2_cyc2, g3_ent, layered_graph,
+                    random_element)
 from oracles import (
     basis_elements,
     deep_walk_equal,
@@ -199,7 +198,7 @@ def test_complex_twist_on_an_exact_family():
     phase = cmath.exp(2j * math.pi * 0.1234)
     rep = twisted_boundary(g, {"e1": phase})
     reports = [report_tuple(verify_relations(rep, REDUCED, family=fam))
-               for fam in (None, canonical_family(g), canonical_family(g, COMPLEX))]
+               for fam in (None, canonical_family(g), complex_family(canonical_family(g)))]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0] == report_tuple(verify_relations_oracle(rep, REDUCED, family=canonical_family(g)))
     ((_, kappa),) = reports[0][3]
@@ -305,9 +304,8 @@ def test_toeplitz_relations_hold_formally_on_the_canonical_family():
                for g in graphs)  # parallel edges
     assert any(g.source_of(e) == g.range_of(e) for g in graphs for e in g.edges)  # loops
     for g in graphs:
-        for mode in (EXACT, COMPLEX):
-            fam = canonical_family(g, mode)
-            nothing = zero(mode)
+        for fam in (canonical_family(g), complex_family(canonical_family(g))):
+            nothing = zero()
             for u in g.vertices:
                 for v in g.vertices:
                     assert fam.p[u] * fam.p[v] == (fam.p[u] if u == v else nothing), (g, u, v)
@@ -327,7 +325,7 @@ def test_canonical_reports_build_no_element(monkeypatch):
         kappa = {x: Phase(Fraction(rng.randrange(12), 12)) for x in canonical_cutting_set(g)}
         cases += [(name, rep) for rep in (left_regular(g), boundary(g), omega(g), twisted_boundary(g, kappa))]
     expected = {(name, rep.kind, level): report_tuple(verify_relations(
-        rep, level, family=canonical_family(rep.graph, rep.mode))) for name, rep in cases for level in reps.LEVELS}
+        rep, level, family=canonical_family(rep.graph))) for name, rep in cases for level in reps.LEVELS}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a canonical report built, compared or scanned something")
@@ -518,8 +516,8 @@ def test_vertex_projections_nonzero_in_all_kinds():
             )
         for rep in reps:
             for v in g.vertices:
-                p = vertex_projection(g, v, rep.mode)
-                assert not operator_equal(rep, p, zero(rep.mode)), (name, rep.kind, v)
+                p = vertex_projection(g, v)
+                assert not operator_equal(rep, p, zero()), (name, rep.kind, v)
 
 
 def test_representation_is_multiplicative_on_random_elements():
@@ -550,14 +548,14 @@ def test_representation_is_multiplicative_on_random_elements():
 def test_ideal_generators_vanish_in_kernel_representations():
     for name, g in _omega_graphs(12):
         brep = boundary(g)
-        for el in ikappa_generators(g, Phase(0)).elements(mode="exact"):
+        for el in ikappa_generators(g, Phase(0)).elements():
             assert operator_equal(brep, el, zero()), name
         cut = canonical_cutting_set(g)
         if cut:
             kappa = {x: Phase(Fraction(2, 5)) for x in cut}
             trep = twisted_boundary(g, kappa)
             for el in ikappa_generators(g, Phase(Fraction(2, 5))).elements():
-                assert operator_equal(trep, el, zero(el.mode)), name
+                assert operator_equal(trep, el, zero()), name
 
 
 def test_separation_of_w_paths_on_omega():

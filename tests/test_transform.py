@@ -161,13 +161,13 @@ def test_ideal_generators_vanish_in_matching_representation():
         gens = ikappa_generators(g, Phase(0))
         rep = boundary(g)
         nil = zero()
-        for el in gens.elements(mode="exact"):
+        for el in gens.elements():
             assert operator_equal(rep, el, nil)
         if entrance_free_classes(g):
             kappa = {x: Phase(Fraction(1, 3)) for x in canonical_cutting_set(g)}
             twisted = twisted_boundary(g, kappa)
             for el in ikappa_generators(g, Phase(Fraction(1, 3))).elements():
-                assert operator_equal(twisted, el, zero(el.mode))
+                assert operator_equal(twisted, el, zero())
 
 
 def test_toeplitz_dictionary_family():
