@@ -155,11 +155,7 @@ def _coeff_str(c, polar: bool):
     value is negative when its first printed part is."""
     if isinstance(c, complex):
         return False, f"({c!r})"
-    x = c.minimal()
-    text = exact.least_text(x, polar)
-    neg = text.startswith(("-", "(-"))
-    if neg:  # the negation of a value at its least level is at its least level
-        text = exact.least_text(-x, polar)
+    neg, text = exact.split_sign(c.minimal(), polar)
     return neg, None if text == "1" else text
 
 
@@ -225,7 +221,8 @@ def ck_defect(fam: GeneratorFamily, v: str) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _efree_rotation_by_source(g: Graph) -> Mapping[str, Path]:
+def efree_rotation_by_source(g: Graph) -> Mapping[str, Path]:
+    """The entrance-free rotation with source v, for each v on an entrance-free cycle."""
     out: dict[str, Path] = {}
     for cls in entrance_free_classes(g):
         for rot in cls.members:
@@ -237,10 +234,15 @@ def w_normal_form(g: Graph, p: Path) -> Path:
     """Strip the maximal trailing power of an entrance-free cycle.
 
     Writes p = p' mu^n with p' not ending in any entrance-free cycle and
-    returns p'; idempotent by construction.  A rotation mu at s(p) starts and
-    ends at s(p), so one scan of p's edges from the end finds n.
+    returns p'; idempotent by construction.
     """
-    rot = _efree_rotation_by_source(g).get(p.source)
+    return strip_rotation(p, efree_rotation_by_source(g).get(p.source))
+
+
+def strip_rotation(p: Path, rot: Path | None) -> Path:
+    """p without its maximal trailing power of ``rot``, the entrance-free
+    rotation at s(p) (p itself when there is none).  The rotation starts and
+    ends at s(p), so one scan of p's edges from the end finds the power."""
     if rot is None:
         return p
     r, k = len(rot.edges), len(p.edges)

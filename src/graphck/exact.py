@@ -279,14 +279,28 @@ class Cyclotomic:
 def least_text(x: Cyclotomic, polar: bool = False) -> str:
     """``x.render(polar)`` for a value ``x`` already at its least level
     (``Cyclotomic.minimal``), so that it is not sought again."""
+    return split_sign(x, polar, unsign=False)[1]
+
+
+def split_sign(x: Cyclotomic, polar: bool = False, unsign: bool = True) -> tuple[bool, str]:
+    """(negative, text) for a value ``x`` at its least level: whether
+    ``least_text(x, polar)`` starts with a minus sign, bare or after the
+    opening parenthesis, and then ``least_text(-x, polar)`` (with ``unsign``),
+    else ``least_text(x, polar)``.  The printed parts are found once."""
     if not polar and x.level == 4:  # in Q(i) but not in Q; a rational prints alike in both styles
         re, im = Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
+        neg = re < 0 or (re == 0 and im < 0)
+        if neg and unsign:
+            re, im = -re, -im
         imag = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{abs(im)}i")
-        return imag if re == 0 else f"({re}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
-    texts = [str(mag) if turn == 0 else f"{mag}@{turn}" for mag, turn in x.polar_terms()]
+        return neg, imag if re == 0 else f"({re}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
+    terms = x.polar_terms()  # the negation of x has the terms (-mag, turn)
+    neg = bool(terms) and terms[0][0] < 0
+    sign = -1 if neg and unsign else 1
+    texts = [str(sign * mag) if turn == 0 else f"{sign * mag}@{turn}" for mag, turn in terms]
     if len(texts) < 2:
-        return texts[0] if texts else "0"
-    return "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+        return neg, texts[0] if texts else "0"
+    return neg, "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -336,18 +350,23 @@ def _root(n: int, k: int) -> Cyclotomic:
     return Cyclotomic(n, _reduce(n, [0] * k + [1]))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of a rational value, with no
+    Fraction built for an int or a Fraction."""
+    return (x if isinstance(x, (int, Fraction)) else _fraction(x)).as_integer_ratio()
+
+
 def rational(q) -> Cyclotomic:
-    q = _fraction(q)
-    return Cyclotomic(1, (q.numerator,), q.denominator)
+    p, d = _ratio(q)
+    return Cyclotomic(1, (p,), d)
 
 
 def GaussianRational(re=0, im=0) -> Cyclotomic:
     """The exact value re + im*i."""
-    re, im = _fraction(re), _fraction(im)
-    if not im:
-        return rational(re)
-    a, b = re.denominator, im.denominator
-    return Cyclotomic(4, (re.numerator * b, im.numerator * a), a * b)
+    (p, a), (q, b) = _ratio(re), _ratio(im)
+    if not q:
+        return Cyclotomic(1, (p,), a)
+    return Cyclotomic(4, (p * b, q * a), a * b)
 
 
 def from_phase(ph: Phase) -> Cyclotomic:
@@ -355,8 +374,11 @@ def from_phase(ph: Phase) -> Cyclotomic:
 
 
 def PolarCoeff(mag=0, turn=0) -> Cyclotomic:
-    """The exact value mag * exp(2*pi*i*turn)."""
-    return rational(mag) * from_phase(Phase(turn))
+    """The exact value mag * exp(2*pi*i*turn): the root of unity of the
+    turn, reduced mod 1, scaled by the rational mag."""
+    (m, d), (k, n) = _ratio(mag), _ratio(turn)
+    root = _root(n, k % n)
+    return Cyclotomic(root.level, tuple(m * c for c in root.num), d * root.den)
 
 
 ONE = rational(1)

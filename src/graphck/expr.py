@@ -55,8 +55,9 @@ def _tokenize(text: str):
             ids = tuple(inner[:-1].split())
             tokens.append(("gen", head, ids))
         elif m.lastgroup == "num":
+            num, _, den = m.group().partition("/")
             try:
-                tokens.append(("num", Fraction(m.group())))
+                tokens.append(("num", Fraction(int(num), int(den or 1))))
             except ZeroDivisionError as err:
                 raise ExprError(f"zero denominator at position {m.start()}: {m.group()!r}") from err
         elif m.lastgroup == "imag":

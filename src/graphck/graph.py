@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -29,34 +28,50 @@ class GraphParseError(GraphError):
 
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.:\-]+$")
+_EDGE_RE = re.compile(r"^edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
 
 
-@dataclass(frozen=True)
 class Path:
     """A composable edge sequence carrying its full vertex itinerary.
 
     ``vertices`` has length ``len(edges) + 1``; ``vertices[0]`` is the range
     and ``vertices[-1]`` the source, so empty paths still know where they sit
     and interior cut points need no graph lookup.
+
+    Paths are the keys of every coefficient map, so a Path is immutable by
+    contract (nothing assigns to its slots after construction) and its hash
+    is computed once, when it is built.  Two Paths are equal when their edges
+    and itineraries are; a Path never equals a plain tuple.  Pickling rebuilds
+    the Path from its edges and itinerary, so no hash crosses processes.
     """
 
-    edges: tuple[str, ...]
-    vertices: tuple[str, ...]
+    __slots__ = ("edges", "vertices", "range", "source", "_hash")
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edges) + 1:
+    def __init__(self, edges: tuple[str, ...], vertices: tuple[str, ...]):
+        if len(vertices) != len(edges) + 1:
             raise GraphError("path vertex itinerary has the wrong length")
+        self.edges = edges
+        self.vertices = vertices
+        self.range = vertices[0]
+        self.source = vertices[-1]
+        self._hash = hash((edges, vertices))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.edges == other.edges and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Path, (self.edges, self.vertices)
+
+    def __repr__(self) -> str:
+        return f"Path(edges={self.edges!r}, vertices={self.vertices!r})"
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    @property
-    def range(self) -> str:
-        return self.vertices[0]
-
-    @property
-    def source(self) -> str:
-        return self.vertices[-1]
 
     @property
     def is_empty(self) -> bool:
@@ -170,20 +185,27 @@ class Graph:
         return Path((e,), (self._rng[e], self._src[e]))
 
     def path(self, edge_ids: Sequence[str]) -> Path:
-        """Build and validate the path e1 e2 ... en."""
+        """Build and validate the path e1 e2 ... en in one pass over the
+        edges; an unknown edge is reported before a pair that does not compose."""
         if not edge_ids:
             raise GraphError("empty edge list; use empty_path(v)")
-        for e in edge_ids:
-            if not self.has_edge(e):
-                raise GraphError(f"unknown edge {e!r}")
-        for a, b in zip(edge_ids, edge_ids[1:]):
-            if self._src[a] != self._rng[b]:
-                raise GraphError(
-                    f"edges do not compose: source({a}) = {self._src[a]} "
-                    f"!= range({b}) = {self._rng[b]}"
-                )
-        vertices = (self._rng[edge_ids[0]],) + tuple(self._src[e] for e in edge_ids)
-        return Path(tuple(edge_ids), vertices)
+        edges = tuple(edge_ids)
+        src, rng = self._src, self._rng
+        try:
+            vertices = [rng[edges[0]]]
+            for e in edges:
+                if rng[e] != vertices[-1]:
+                    break
+                vertices.append(src[e])
+            else:
+                return Path(edges, tuple(vertices))
+        except KeyError as err:
+            raise GraphError(f"unknown edge {err.args[0]!r}") from None
+        unknown = next((e for e in edges if e not in src), None)
+        if unknown is not None:
+            raise GraphError(f"unknown edge {unknown!r}")
+        a, b = edges[len(vertices) - 2], edges[len(vertices) - 1]
+        raise GraphError(f"edges do not compose: source({a}) = {src[a]} != range({b}) = {rng[b]}")
 
     def to_text(self) -> str:
         lines = [f"vertex {v}" for v in self.vertices]
@@ -234,7 +256,7 @@ def parse_graph(text: str) -> Graph:
             seen_v.add(parts[1])
             vertices.append(parts[1])
         elif parts[0] == "edge":
-            m = re.match(r"^edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", line)
+            m = _EDGE_RE.match(line)
             if not m or not all(_ID_RE.match(x) for x in m.groups()):
                 raise GraphParseError("malformed edge declaration", line_no, raw)
             e, s, r = m.groups()

@@ -57,7 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact
-from .algebra import AlgebraElement, GeneratorFamily, ck_defect, w_normal_form
+from .algebra import (AlgebraElement, GeneratorFamily, ck_defect, efree_rotation_by_source,
+                      strip_rotation, w_normal_form)
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
 from .cycles import class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
 from .exact import Phase, as_phase
@@ -180,22 +181,24 @@ def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) ->
     docstring)."""
     if rep.kind == LEFT_REGULAR:
         return a == b
-    g = rep.graph
+    ta, tb = a.terms, b.terms
     if rep.kind == TWISTED:
-        a, b = (AlgebraElement({k: twist(c, *k, rep.kappa) for k, c in e.terms.items()})
-                for e in (a, b))
+        ta, tb = ({k: twist(c, *k, rep.kappa) for k, c in t.items()} for t in (ta, tb))
     heads = {(beta.range, beta.edges[:k])
-             for e in (a, b) for _, beta in e.terms for k in range(len(beta))}
-    return _boundary_normal_form(g, a, heads) == _boundary_normal_form(g, b, heads)
+             for t in (ta, tb) for _, beta in t for k in range(len(beta))}
+    return combos_equal(_boundary_normal_form(rep.graph, ta, heads),
+                        _boundary_normal_form(rep.graph, tb, heads))
 
 
-def _boundary_normal_form(g: Graph, a: AlgebraElement, heads) -> AlgebraElement:
-    """``a`` with each beta extended through the in-edges of its source (the
-    CK relation) while ``heads`` holds its (range, edges), and every alpha
-    stripped of trailing entrance-free rotations (s_mu = p).  A term follows
-    only the trie of heads, to at most sum |beta| * max in-degree leaves."""
+def _boundary_normal_form(g: Graph, terms, heads) -> dict:
+    """The coefficient map ``terms`` with each beta extended through the
+    in-edges of its source (the CK relation) while ``heads`` holds its
+    (range, edges), and every alpha stripped of trailing entrance-free
+    rotations (s_mu = p), zero coefficients dropped.  A term follows only the
+    trie of heads, to at most sum |beta| * max in-degree leaves."""
+    rotations = efree_rotation_by_source(g)
     out: dict = {}
-    todo = list(a.terms.items())
+    todo = list(terms.items())
     while todo:
         (alpha, beta), c = todo.pop()
         ins = g.in_edges(beta.source)
@@ -204,9 +207,9 @@ def _boundary_normal_form(g: Graph, a: AlgebraElement, heads) -> AlgebraElement:
                 step = g.edge_path(e)
                 todo.append(((alpha.concat(step), beta.concat(step)), c))
             continue
-        key = (w_normal_form(g, alpha), beta)
+        key = (strip_rotation(alpha, rotations.get(alpha.source)), beta)
         out[key] = exact.add(out[key], c) if key in out else c
-    return AlgebraElement(out)
+    return {k: c for k, c in out.items() if not exact.is_zero(c)}
 
 
 @dataclass(frozen=True)

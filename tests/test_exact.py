@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphck import (
     Cyclotomic,
@@ -232,6 +232,40 @@ def test_field_axioms_against_complex_evaluation(a, b, c):
     assert _close(a.conjugate(), a.value.conjugate())
     assert _close(a.minimal(), a.value)
     assert (a * b).is_zero == (a.is_zero or b.is_zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=5) | st.integers(-3, 3),
+       st.fractions(min_value=-2, max_value=2, max_denominator=30) | st.integers(-2, 2))
+@example(0, Fraction(1, 6))
+@example(Fraction(-3, 2), Fraction(5, 6))
+@example(2, Fraction(-7, 2))
+@example(0, 0)
+def test_polar_coeff_matches_the_phase_product(mag, turn):
+    # turns of denominator 2 mod 4 land a level below; a zero mag keeps the turn's level
+    x, y = PolarCoeff(mag, turn), exact.rational(mag) * exact.from_phase(Phase(turn))
+    assert (x.level, x.num, x.den) == (y.level, y.num, y.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclotomics(), st.booleans())
+def test_split_sign_renders_once_what_two_renders_give(c, polar):
+    x = c.minimal()
+    text = exact.least_text(x, polar)
+    neg = text.startswith(("-", "(-"))
+    assert exact.split_sign(x, polar) == (neg, exact.least_text(-x, polar) if neg else text)
+
+
+def test_rationals_from_ints_strings_and_fractions_agree():
+    for q in (0, 3, -2, True, "5/10", "-7", Fraction(-6, 4)):
+        x, f = exact.rational(q), Fraction(q)
+        assert (x.level, x.num, x.den) == (1, (f.numerator,), f.denominator)
+    assert GaussianRational("1/2", -1) == GaussianRational(Fraction(1, 2), Fraction(-1))
+    for bad in (0.5, 1j, None):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            PolarCoeff(1, bad)
 
 
 G1 = Graph(["v"], [("e", "v", "v")])

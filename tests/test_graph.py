@@ -1,9 +1,19 @@
-import pytest
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import graphck
 from graphck import (
     Graph,
     GraphError,
     GraphParseError,
+    Path,
     enumerate_paths,
     is_cofinal,
     parse_graph,
@@ -90,6 +100,97 @@ def test_path_construction_and_composability():
     empty = g.empty_path("u")
     assert empty.range == empty.source == "u"
     assert empty.concat(g.path(["e2"])).edges == ("e2",)
+
+
+def test_equal_paths_built_apart_hash_alike_and_share_a_key():
+    g = g2_cyc2()
+    p, q = g.path(["e1", "e2"]), g.edge_path("e1").concat(g.edge_path("e2"))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert {p: 1}[q] == 1
+    assert {(p, g.empty_path("v")): 2}[(q, Path((), ("v",)))] == 2
+    assert p != g.path(["e2", "e1"]) and g.empty_path("u") != g.empty_path("v")
+
+
+def test_a_path_never_equals_a_tuple():
+    p = g2_cyc2().path(["e1"])
+    for other in (p.edges, p.vertices, (p.edges, p.vertices), ("e1",)):
+        assert p != other and other != p
+        assert not p == other
+    assert (p.edges, p.vertices) not in {p: 1}
+
+
+def test_path_repr_is_unchanged():
+    assert repr(Path(("e",), ("v", "v"))) == "Path(edges=('e',), vertices=('v', 'v'))"
+    assert repr(g1_loop().empty_path("v")) == "Path(edges=(), vertices=('v',))"
+
+
+def test_path_copies_and_pickles_round_trip():
+    p = g2_cyc2().path(["e1", "e2"])
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and hash(twin) == hash(p) and {p: 1}[twin] == 1
+        assert (twin.range, twin.source, len(twin)) == ("v", "v", 2)
+
+
+def test_a_path_pickled_under_another_hash_seed_hashes_like_a_fresh_one():
+    p = g2_cyc2().path(["e1", "e2"])
+    code = ("import pickle, sys; from graphck import Path; "
+            "sys.stdout.buffer.write(pickle.dumps((hash('e1'), Path(('e1', 'e2'), ('v', 'u', 'v')))))")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphck.__file__).resolve().parents[1])}
+    for seed in range(1, 10):  # a seed under which str hashes differ from this process's
+        env["PYTHONHASHSEED"] = str(seed)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        their_hash, loaded = pickle.loads(out.stdout)
+        if their_hash != hash("e1"):
+            break
+    else:
+        pytest.fail("no other hash seed found")
+    assert loaded == p and hash(loaded) == hash(p)
+    assert {p: "found"}[loaded] == "found" and loaded in {p}
+
+
+def test_a_wrong_itinerary_length_raises():
+    for edges, vertices in ((("e",), ("v",)), ((), ("u", "v")), (("e", "f"), ("u", "v"))):
+        with pytest.raises(GraphError, match="itinerary has the wrong length"):
+            Path(edges, vertices)
+
+
+def _path_error(g, ids):
+    """The message Graph.path raises on ``ids``: the first unknown edge,
+    else the first pair that does not compose; None for a path."""
+    if not ids:
+        return "empty edge list; use empty_path(v)"
+    unknown = next((e for e in ids if not g.has_edge(e)), None)
+    if unknown is not None:
+        return f"unknown edge {unknown!r}"
+    for a, b in zip(ids, ids[1:]):
+        if g.source_of(a) != g.range_of(b):
+            return (f"edges do not compose: source({a}) = {g.source_of(a)} "
+                    f"!= range({b}) = {g.range_of(b)}")
+    return None
+
+
+@st.composite
+def graph_and_ids(draw):
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = [(f"e{k}", draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+             for k in range(draw(st.integers(1, 6)))]
+    pool = [e for e, _, _ in edges] + ["x", "v0", "e9"]
+    return Graph(vs, edges), draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_ids())
+def test_graph_path_reports_unknown_edges_before_composition(case):
+    g, ids = case
+    expected = _path_error(g, ids)
+    if expected is None:
+        p = g.path(ids)
+        assert p == Path(tuple(ids), (g.range_of(ids[0]),) + tuple(g.source_of(e) for e in ids))
+        assert p == g.path(tuple(ids))
+    else:
+        with pytest.raises(GraphError) as err:
+            g.path(ids)
+        assert str(err.value) == expected
 
 
 def test_sources_examples():
