@@ -120,24 +120,38 @@ class AlgebraElement:
     def render(self, polar: bool = False) -> str:
         """The element in the expression syntax; ``polar`` prints every
         coefficient in polar style (see ``exact``)."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for (a, b), c in self.terms_sorted():
-            neg, cs = _coeff_str(c, polar)
-            body = _monomial_str(a, b)
-            piece = body if cs is None else f"{cs} * {body}"
-            if not parts:
-                parts.append(("-" if neg else "") + piece)
-            else:
-                parts.append(("- " if neg else "+ ") + piece)
-        return " ".join(parts)
+        return render_element(self, polar, {})
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"<AlgebraElement {self.render()}>"
+
+
+def render_element(a: AlgebraElement, polar: bool, texts: dict) -> str:
+    """``a.render(polar)``, reading each exact coefficient's printed sign and
+    magnitude from ``texts``, keyed by (level, num, den), and adding those it
+    prints first: elements printed with one table print each value once."""
+    if a.is_zero:
+        return "0"
+    parts: list[str] = []
+    for (alpha, beta), c in a.terms_sorted():
+        if isinstance(c, complex):
+            neg, cs = False, f"({c!r})"
+        else:
+            value = (c.level, c.num, c.den)
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = exact.split_sign(c.minimal(), polar)
+            neg, cs = text
+        body = _monomial_str(alpha, beta)
+        piece = body if cs == "1" else f"{cs} * {body}"
+        if not parts:
+            parts.append(("-" if neg else "") + piece)
+        else:
+            parts.append(("- " if neg else "+ ") + piece)
+    return " ".join(parts)
 
 
 def _monomial_str(a: Path, b: Path) -> str:
@@ -148,15 +162,6 @@ def _monomial_str(a: Path, b: Path) -> str:
     if a.is_empty:
         return f"s*[{b.render()}]"
     return f"s[{a.render()}] * s*[{b.render()}]"
-
-
-def _coeff_str(c, polar: bool):
-    """(is_negative, printable magnitude or None when it is exactly one); a
-    value is negative when its first printed part is."""
-    if isinstance(c, complex):
-        return False, f"({c!r})"
-    neg, text = exact.split_sign(c.minimal(), polar)
-    return neg, None if text == "1" else text
 
 
 def zero() -> AlgebraElement:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import diagonal, element_w_normal_form
+from .algebra import diagonal, element_w_normal_form, render_element
 from .cycles import canonical_cutting_set, entrance_free_classes, simple_cycles
 from .exact import ExactnessError, Phase, from_phase
 from .expr import ExprError, parse_element
@@ -73,7 +73,7 @@ def _print_pretty(report: dict) -> None:
     print(f"command : {report['command']}")
     print(f"graph   : {report['fingerprint'][:16]}")
     for key, value in sorted(report["result"].items()):
-        if isinstance(value, list):
+        if isinstance(value, list) and value:
             print(f"{key}:")
             for item in value:
                 print(f"  - {json.dumps(item, sort_keys=True)}")
@@ -226,10 +226,11 @@ def _cmd_expect(args) -> int:
     element = parse_element(g, args.element)
     polar = "@" in args.element  # the print style follows the input's
     normal = element_w_normal_form(g, element)
+    texts: dict = {}  # each coefficient value is printed once for the three
     result = {
-        "element": element.render(polar),
-        "wNormalForm": normal.render(polar),
-        "expectation": diagonal(normal).render(polar),
+        "element": render_element(element, polar, texts),
+        "wNormalForm": render_element(normal, polar, texts),
+        "expectation": render_element(diagonal(normal), polar, texts),
     }
     _emit(_report("expect", g, result), args.pretty)
     return EXIT_OK

@@ -173,6 +173,15 @@ def is_cutting_set(g: Graph, edges) -> bool:
     return chosen <= covered
 
 
+def checked_cutting_set(g: Graph, edges) -> tuple[str, ...]:
+    """The edges, sorted, when they form a cutting set of ``g``; else a
+    GraphError naming them as ``--cutting-set`` takes them (``l1,l2``)."""
+    chosen = tuple(sorted(edges))
+    if not is_cutting_set(g, chosen):
+        raise GraphError(f"{','.join(chosen) or 'the empty edge set'} is not a cutting set")
+    return chosen
+
+
 def class_of_edge(g: Graph, x: str) -> CycleClass:
     for cls in entrance_free_classes(g):
         if x in cls.edge_set:

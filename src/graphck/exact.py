@@ -99,7 +99,9 @@ class LevelError(ValueError):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Phi_n, lowest degree first: x^n - 1 divided by Phi_d for each d < n dividing n.
+    """Phi_n, lowest degree first: the product of (x^d - 1)^mu(n/d) over the
+    divisors d of n, each factor multiplied in, or divided out exactly, in
+    one pass over the coefficients.
 
     Every computation at level n starts here, so this is where a level above
     ``MAX_LEVEL`` is refused: the work per operation grows as phi(n)^2.
@@ -107,17 +109,26 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n > MAX_LEVEL:
         raise LevelError(f"exact arithmetic would need the cyclotomic field of level {n}, "
                          f"above the limit of {MAX_LEVEL}; use turns with smaller denominators")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            div = _cyclotomic_poly(d)
-            quot = [0] * (len(poly) - len(div) + 1)
-            for i in reversed(range(len(quot))):
-                c = quot[i] = poly[i + len(div) - 1]
-                for j, p in enumerate(div):
-                    poly[i + j] -= c * p
-            poly = quot
+    factors = {d: _mobius(n // d) for d in range(1, n + 1) if n % d == 0}
+    poly = [1]
+    for d in (d for d, mu in factors.items() if mu == 1):  # poly * (x^d - 1)
+        out = [0] * (len(poly) + d)
+        for i, c in enumerate(poly):
+            out[i] -= c
+            out[i + d] += c
+        poly = out
+    for d in (d for d, mu in factors.items() if mu == -1):  # poly / (x^d - 1): p[i] = q[i-d] - q[i]
+        out = [0] * (len(poly) - d)
+        for i in range(len(out)):
+            out[i] = (out[i - d] if i >= d else 0) - poly[i]
+        poly = out
     return tuple(poly)
+
+
+def _mobius(m: int) -> int:
+    """The Moebius function: 0 when a square divides m, else (-1)^(number of primes of m)."""
+    primes = _prime_factors(m)
+    return 0 if any(m % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)
@@ -140,20 +151,6 @@ def _reduce(n: int, coeffs: list[int]) -> tuple[int, ...]:
             for j, p in low:
                 coeffs[i - deg + j] -= c * p
     return tuple(coeffs)
-
-
-def _powers(n: int, k: int = 0):
-    """zeta_n^j for j = k, k + 1, ... in the power basis modulo Phi_n, one at a
-    time, from 0 <= k <= phi(n)."""
-    phi = _cyclotomic_poly(n)
-    deg = len(phi) - 1
-    vec = [-p for p in phi[:-1]] if k == deg else [int(j == k) for j in range(deg)]
-    while True:
-        yield vec
-        top = vec[-1]
-        vec = [0] + vec[:-1]
-        if top:  # x^deg = -(Phi_n - x^deg)
-            vec = [v - top * p for v, p in zip(vec, phi)]
 
 
 def _lift(v: "Cyclotomic", n: int) -> tuple[int, ...]:
@@ -256,14 +253,7 @@ class Cyclotomic:
         """(mag, turn) pairs summing to this value: one pair when it is
         mag * zeta for a root of unity zeta (all are +-zeta_level^k), else its
         coordinates in the power basis of its level, canonical on ``minimal()``."""
-        n, num = self.level, self.num
-        hits = [k for k, c in enumerate(num) if c]
-        if len(hits) > 1:
-            for k, p in zip(range(len(num), n), _powers(n, len(num))):
-                j = next(i for i, v in enumerate(p) if v)
-                if all(c * p[j] == num[j] * v for c, v in zip(num, p)):
-                    return [_fold(Fraction(num[j], self.den * p[j]), Fraction(k, n))]
-        return sorted((_fold(Fraction(num[k], self.den), Fraction(k, n)) for k in hits), key=lambda term: term[1])
+        return [(Fraction(p, q), Fraction(k, n)) for p, q, k, n in _polar_parts(self)]
 
     def render(self, polar: bool = False) -> str:
         """Gaussian style a+bi for a Gaussian rational unless ``polar``; polar
@@ -286,21 +276,62 @@ def split_sign(x: Cyclotomic, polar: bool = False, unsign: bool = True) -> tuple
     """(negative, text) for a value ``x`` at its least level: whether
     ``least_text(x, polar)`` starts with a minus sign, bare or after the
     opening parenthesis, and then ``least_text(-x, polar)`` (with ``unsign``),
-    else ``least_text(x, polar)``.  The printed parts are found once."""
+    else ``least_text(x, polar)``.  The printed parts are found once, and
+    printed from their integer numerators and denominators."""
     if not polar and x.level == 4:  # in Q(i) but not in Q; a rational prints alike in both styles
-        re, im = Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
+        (re, im), den = x.num, x.den
         neg = re < 0 or (re == 0 and im < 0)
         if neg and unsign:
             re, im = -re, -im
-        imag = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{abs(im)}i")
-        return neg, imag if re == 0 else f"({re}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
-    terms = x.polar_terms()  # the negation of x has the terms (-mag, turn)
-    neg = bool(terms) and terms[0][0] < 0
+        imag = ("-" if im < 0 else "") + ("i" if abs(im) == den else f"{_ratio_text(abs(im), den)}i")
+        return neg, imag if re == 0 else f"({_ratio_text(re, den)}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
+    parts = _polar_parts(x)  # the negation of x has the parts (-p, q, k, n)
+    neg = bool(parts) and parts[0][0] < 0
     sign = -1 if neg and unsign else 1
-    texts = [str(sign * mag) if turn == 0 else f"{sign * mag}@{turn}" for mag, turn in terms]
+    texts = [_ratio_text(sign * p, q) if k == 0 else f"{_ratio_text(sign * p, q)}@{_ratio_text(k, n)}"
+             for p, q, k, n in parts]
     if len(texts) < 2:
         return neg, texts[0] if texts else "0"
     return neg, "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms as ``str(Fraction(p, q))`` prints it, for q > 0."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
+def _polar_parts(x: Cyclotomic) -> list[tuple[int, int, int, int]]:
+    """(p, q, k, n) with q, n > 0 for each pair (p/q, k/n) of ``x.polar_terms()``,
+    in order.  A value with several nonzero coordinates is tested as a monomial
+    c * zeta_n^k at the one k that its argument points to (``_power_guess``)."""
+    n, num, den = x.level, x.num, x.den
+    hits = [k for k, c in enumerate(num) if c]
+    if len(hits) > 1:
+        k = _power_guess(n, num)
+        root = _lift(_root(n, k), n)
+        j = next(i for i, v in enumerate(root) if v)
+        if all(c * root[j] == num[j] * v for c, v in zip(num, root)):
+            r = root[j]
+            return [_fold(num[j] if r > 0 else -num[j], den * abs(r), k, n)]
+    hits.sort(key=lambda h: 2 * h % n)  # the folded turn, over 2n
+    return [_fold(num[k], den, k, n) for k in hits]
+
+
+def _power_guess(n: int, num: tuple[int, ...]) -> int:
+    """The k with sum(num[j] * zeta_n^j) = c * zeta_n^k for a rational c, if
+    there is one, read from the argument of the value in floating point: the
+    nearest power for c > 0, and for odd n, where -1 is no power of zeta_n,
+    the nearest power after a half turn when that lies nearer.  The numerators
+    are scaled to at most 1, so no integer overflows a float; a monomial's
+    argument is then exact to far less than the spacing 1/n of the powers."""
+    big = max(map(abs, num))
+    step = 2.0 * math.pi / n
+    z = sum(c / big * cmath.rect(1.0, j * step) for j, c in enumerate(num) if c)
+    t = cmath.phase(z) / step
+    if n % 2 and abs(t - round(t)) > 0.25:
+        t -= n / 2
+    return round(t) % n
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -335,10 +366,10 @@ def _descend(n: int, num: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     return tuple(x - y for x, y in zip(parts[0], last))
 
 
-def _fold(mag: Fraction, turn: Fraction) -> tuple[Fraction, Fraction]:
-    """Canonical polar pair: turn in [0, 1/2), a half turn folded into the sign."""
-    turn %= 1
-    return (-mag, turn - HALF) if turn >= HALF else (mag, turn)
+def _fold(p: int, q: int, k: int, n: int) -> tuple[int, int, int, int]:
+    """The canonical polar pair of (p/q, k/n) for 0 <= k < n: turn in [0, 1/2),
+    a half turn folded into the sign."""
+    return (-p, q, 2 * k - n, 2 * n) if 2 * k >= n else (p, q, k, n)
 
 
 @lru_cache(maxsize=None)
@@ -374,11 +405,18 @@ def from_phase(ph: Phase) -> Cyclotomic:
 
 
 def PolarCoeff(mag=0, turn=0) -> Cyclotomic:
-    """The exact value mag * exp(2*pi*i*turn): the root of unity of the
-    turn, reduced mod 1, scaled by the rational mag."""
+    """The exact value mag * exp(2*pi*i*turn) for rationals mag and turn."""
     (m, d), (k, n) = _ratio(mag), _ratio(turn)
+    return scaled_root(m, d, k, n)
+
+
+def scaled_root(p: int, q: int, k: int, n: int) -> Cyclotomic:
+    """The exact value p/q * exp(2*pi*i*k/n) from integers with q, n > 0: the
+    root of unity of the turn, reduced mod 1, scaled by the rational."""
+    g = math.gcd(k, n)
+    k, n = k // g, n // g
     root = _root(n, k % n)
-    return Cyclotomic(root.level, tuple(m * c for c in root.num), d * root.den)
+    return Cyclotomic(root.level, tuple(p * c for c in root.num), q * root.den)
 
 
 ONE = rational(1)

@@ -8,192 +8,159 @@ exp(2*pi*i/3)) and parenthesised sums of these (``(1+1/2i)``,
 ``(-1+2@1/6)``).  Every literal is an exact cyclotomic value, so both styles
 mix freely in one expression.
 
-Parsing is linear in the length of the expression: each term folds its
-generators into one key (``algebra.compose``) and its scalars into one
-coefficient, and the whole sum accumulates in one coefficient map.
+Parsing is one pass over the text and one over its tokens, both linear in
+its length.  The token pattern absorbs the whitespace before each token, and
+a number token carries its numerator and denominator as integers, from which
+each literal is built directly as a ``Cyclotomic`` value.  One loop then
+reads a factor per pass: each term folds its generators into one key
+(``algebra.compose``) and its scalars into one coefficient, and the whole sum
+accumulates in one coefficient map.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from . import exact
 from .algebra import AlgebraElement, compose, zero
-from .graph import Graph, Path
+from .exact import Cyclotomic
+from .graph import Graph
+
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+      (?P<gen>(?P<head>p|s\*|s)\[(?P<ids>[^\]]*)\])
+    | (?P<num>(?P<p>\d+)(?:/(?P<q>\d+))?)
+    | (?P<op>[@*+\-()i])
+    | (?P<bad>\S)
+    )""",
+    re.X,
+)
+
+_SIGNS = {"+": 1, "-": -1}
 
 
 class ExprError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<gen>(?:p|s\*|s)\[[^\]]*\])
-    | (?P<num>\d+(?:/\d+)?)
-    | (?P<imag>i)
-    | (?P<op>[@*+\-()])
-    """,
-    re.X,
-)
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list[tuple]:
+    """``("gen", head, ids)``, ``("num", p, q)`` for p/q, or the one-character
+    token ``(op,)``, for each token of ``text`` in order."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ExprError(f"unexpected character at position {pos}: {text[pos]!r}")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        if m.lastgroup == "gen":
-            raw = m.group()
-            head, inner = raw.split("[", 1)
-            ids = tuple(inner[:-1].split())
-            tokens.append(("gen", head, ids))
-        elif m.lastgroup == "num":
-            num, _, den = m.group().partition("/")
-            try:
-                tokens.append(("num", Fraction(int(num), int(den or 1))))
-            except ZeroDivisionError as err:
-                raise ExprError(f"zero denominator at position {m.start()}: {m.group()!r}") from err
-        elif m.lastgroup == "imag":
-            tokens.append(("i",))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "num":
+            q = int(m["q"] or 1)
+            if not q:
+                raise ExprError(f"zero denominator at position {m.start(kind)}: {m[kind]!r}")
+            tokens.append(("num", int(m["p"]), q))
+        elif kind == "gen":
+            tokens.append(("gen", m["head"], tuple(m["ids"].split())))
+        elif kind == "op":
+            tokens.append((m[kind],))
         else:
-            tokens.append((m.group(),))
+            pos = m.start(kind)
+            raise ExprError(f"unexpected character at position {pos}: {text[pos]!r}")
     return tokens
 
 
-class _Parser:
-    def __init__(self, g: Graph, tokens):
-        self.g = g
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
+def _scalar(tokens: list[tuple], i: int, sign: int) -> tuple[Cyclotomic, int]:
+    """(``i``, ``num``, ``num i`` or ``num@turn`` starting at ``tokens[i]``,
+    times ``sign``; the index after it)."""
+    if i == len(tokens):
+        raise ExprError("unexpected end of expression")
+    tok = tokens[i]
+    if tok[0] == "i":
+        return Cyclotomic(4, (0, sign)), i + 1
+    if tok[0] != "num":
+        raise ExprError(f"unexpected token {tok[0]!r}")
+    p, q = sign * tok[1], tok[2]
+    nxt = tokens[i + 1][0] if i + 1 < len(tokens) else None
+    if nxt == "@":
+        if i + 2 == len(tokens):
             raise ExprError("unexpected end of expression")
-        self.pos += 1
-        return tok
+        turn = tokens[i + 2]
+        if turn[0] != "num":
+            raise ExprError(f"expected 'num', got {turn[0]!r}")
+        return exact.scaled_root(p, q, turn[1], turn[2]), i + 3
+    if nxt == "i":  # a zero imaginary part stays a rational, as in GaussianRational
+        return (Cyclotomic(4, (0, p), q) if p else Cyclotomic(1, (0,))), i + 2
+    return Cyclotomic(1, (p,), q), i + 1
 
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, got {tok[0]!r}")
-        return tok
 
-    def take_sign(self) -> int | None:
-        tok = self.peek()
-        if tok is None or tok[0] not in ("+", "-"):
-            return None
-        self.take()
-        return -1 if tok[0] == "-" else 1
+def parse_element(g: Graph, text: str) -> AlgebraElement:
+    """Parse an element expression over the given graph.
 
-    def parse(self) -> AlgebraElement:
-        """The sum of the terms, accumulated in one coefficient map.  A key
-        whose coefficient sums to 0 leaves the map at once, as it leaves a sum
-        of elements, so a later term at that key starts again from its own
-        cyclotomic level."""
-        terms: dict[tuple[Path, Path], exact.Cyclotomic] = {}
-        sign = self.take_sign() or 1
-        while True:
-            key, coeff = self.parse_term()
-            if key is not None and not coeff.is_zero:
-                coeff = coeff if sign > 0 else -coeff
-                total = terms[key] + coeff if key in terms else coeff
+    One pass per factor: a generator, a parenthesised sum of scalars or a
+    scalar, then ``*`` (the term goes on), a sign (the next term starts) or
+    the end.  A key whose coefficient sums to 0 leaves the map at once, as it
+    leaves a sum of elements, so a later term at that key starts again from
+    its own cyclotomic level."""
+    tokens = _tokenize(text)
+    end = len(tokens)
+    if not end:
+        raise ExprError("empty expression")
+    if end == 1 and tokens[0][:2] == ("num", 0):
+        return zero()
+    terms: dict = {}
+    sign = _SIGNS.get(tokens[0][0])
+    i = 0 if sign is None else 1
+    sign = sign or 1
+    key = coeff = None
+    keyed = False  # whether the term has a generator; its key is None when they multiply to 0
+    while True:
+        kind = tokens[i][0] if i < end else None
+        if kind == "gen":
+            _, head, ids = tokens[i]
+            i += 1
+            if head == "p":
+                if len(ids) != 1:
+                    raise ExprError(f"p[...] takes one vertex id, got {ids}")
+                empty = g.empty_path(ids[0])
+                right = (empty, empty)
+            else:
+                if not ids:
+                    raise ExprError("s[...] needs at least one edge id")
+                path = g.path(ids)
+                empty = g.empty_path(path.source)
+                right = (empty, path) if head == "s*" else (path, empty)
+            key = (key and compose(key, right)) if keyed else right
+            keyed = True
+        else:
+            if kind == "(":
+                inner = _SIGNS.get(tokens[i + 1][0]) if i + 1 < end else None
+                value, i = _scalar(tokens, i + 1 if inner is None else i + 2, inner or 1)
+                while i < end and tokens[i][0] in _SIGNS:
+                    term, i = _scalar(tokens, i + 1, _SIGNS[tokens[i][0]])
+                    value = value + term
+                if i == end:
+                    raise ExprError("unexpected end of expression")
+                if tokens[i][0] != ")":
+                    raise ExprError(f"expected ')', got {tokens[i][0]!r}")
+                i += 1
+            else:
+                value, i = _scalar(tokens, i, 1)
+            coeff = value if coeff is None else coeff * value
+        kind = tokens[i][0] if i < end else None
+        if kind == "*":
+            i += 1
+            continue
+        if not keyed:
+            raise ExprError("scalar term without a generator; the algebra has no unit")
+        if key is not None:
+            c = exact.ONE if coeff is None else coeff
+            if not c.is_zero:
+                c = c if sign > 0 else -c
+                total = terms[key] + c if key in terms else c
                 if total.is_zero:
                     del terms[key]
                 else:
                     terms[key] = total
-            if self.peek() is None:
-                return AlgebraElement(terms)
-            sign = self.take_sign()
-            if sign is None:
-                raise ExprError(f"expected '+' or '-', got {self.peek()[0]!r}")
-
-    def parse_term(self) -> tuple[tuple[Path, Path] | None, exact.Cyclotomic]:
-        """(key, coefficient) of one product of factors: the generators fold
-        into one key by the product rule (None when they multiply to 0) and
-        the scalars into one coefficient."""
-        coeff = None
-        keys = []
-        while True:
-            piece = self.parse_factor()
-            if isinstance(piece, tuple):
-                keys.append(piece)
-            else:
-                coeff = piece if coeff is None else coeff * piece
-            tok = self.peek()
-            if tok is None or tok[0] != "*":
-                break
-            self.take()
-        if not keys:
-            raise ExprError(
-                "scalar term without a generator; the algebra has no unit"
-            )
-        key = keys[0]
-        for right in keys[1:]:
-            if key is None:
-                break
-            key = compose(key, right)
-        return key, exact.ONE if coeff is None else coeff
-
-    def parse_factor(self):
-        """A generator's key (alpha, beta), or a scalar."""
-        tok = self.peek()
-        if tok is not None and tok[0] == "gen":
-            _, head, ids = self.take()
-            if head == "p":
-                if len(ids) != 1:
-                    raise ExprError(f"p[...] takes one vertex id, got {ids}")
-                empty = self.g.empty_path(ids[0])
-                return empty, empty
-            if not ids:
-                raise ExprError("s[...] needs at least one edge id")
-            path = self.g.path(list(ids))
-            empty = self.g.empty_path(path.source)
-            return (empty, path) if head == "s*" else (path, empty)
-        if tok is not None and tok[0] == "(":
-            self.take()
-            total = self.parse_scalar(self.take_sign() or 1)
-            sign = self.take_sign()
-            while sign is not None:
-                total = total + self.parse_scalar(sign)
-                sign = self.take_sign()
-            self.expect(")")
-            return total
-        return self.parse_scalar(1)
-
-    def parse_scalar(self, sign: int):
-        """``i``, ``num``, ``num i`` or ``num@turn``, times ``sign``."""
-        tok = self.take()
-        if tok[0] == "i":
-            return exact.GaussianRational(0, sign)
-        if tok[0] != "num":
-            raise ExprError(f"unexpected token {tok[0]!r}")
-        value = sign * tok[1]
-        nxt = self.peek()
-        if nxt == ("@",):
-            self.take()
-            return exact.PolarCoeff(value, self.expect("num")[1])
-        if nxt == ("i",):
-            self.take()
-            return exact.GaussianRational(0, value)
-        return exact.rational(value)
-
-
-def parse_element(g: Graph, text: str) -> AlgebraElement:
-    """Parse an element expression over the given graph."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ExprError("empty expression")
-    if len(tokens) == 1 and tokens[0] == ("num", Fraction(0)):
-        return zero()
-    return _Parser(g, tokens).parse()
+        if kind is None:
+            return AlgebraElement(terms)
+        if kind not in _SIGNS:
+            raise ExprError(f"expected '+' or '-', got {kind!r}")
+        sign = _SIGNS[kind]
+        i += 1
+        key = coeff = None
+        keyed = False

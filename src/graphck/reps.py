@@ -60,7 +60,7 @@ from . import exact
 from .algebra import (AlgebraElement, GeneratorFamily, ck_defect, efree_rotation_by_source,
                       strip_rotation, w_normal_form)
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
-from .cycles import class_of_edge, entrance_free_classes, is_cutting_set, is_cycle
+from .cycles import checked_cutting_set, class_of_edge, entrance_free_classes, is_cycle
 from .exact import Phase, as_phase
 from .graph import Graph, GraphError, Path, path_layers
 from .transform import rational_phase, twist
@@ -128,9 +128,7 @@ def twisted_boundary(g: Graph, kappa) -> Representation:
     becomes a complex unit, and the representation acts inexactly.
     """
     table = dict(kappa)
-    chosen = tuple(sorted(table))
-    if not is_cutting_set(g, chosen):
-        raise GraphError(f"{chosen} is not a cutting set")
+    checked_cutting_set(g, table)
     if not any(isinstance(v, (complex, float)) for v in table.values()):
         phases = {e: rational_phase(v) for e, v in table.items()}
         return Representation(TWISTED, g, phases)

@@ -29,9 +29,9 @@ from .algebra import (
 )
 from .cycles import (
     CycleClass,
+    checked_cutting_set,
     cycle_class,
     entrance_free_classes,
-    is_cutting_set,
 )
 from .exact import Cyclotomic, Phase, as_phase
 from .graph import Graph, GraphError, Path
@@ -98,9 +98,7 @@ class ReducedGraph:
 
 
 def reduced_graph(g: Graph, cutting_set) -> ReducedGraph:
-    chosen = tuple(sorted(cutting_set))
-    if not is_cutting_set(g, chosen):
-        raise GraphError(f"{chosen} is not a cutting set")
+    chosen = checked_cutting_set(g, cutting_set)
     zeta_v = {v: ZETA + v for v in g.vertices}
     zeta_e = {e: ZETA + e for e in g.edges if e not in set(chosen)}
     edges = [
@@ -281,9 +279,7 @@ class GeneratorRescaling:
 def rescale_generators(g: Graph, cutting_set, kappa) -> GeneratorRescaling:
     """The correspondence for a phase assignment on a cutting set: a single
     phase, or a mapping defined exactly on the cutting-set edges."""
-    chosen = tuple(sorted(cutting_set))
-    if not is_cutting_set(g, chosen):
-        raise GraphError(f"{chosen} is not a cutting set")
+    chosen = checked_cutting_set(g, cutting_set)
     if isinstance(kappa, Mapping):
         if set(kappa) != set(chosen):
             raise GraphError("kappa must be defined exactly on the cutting set")

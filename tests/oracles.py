@@ -21,10 +21,14 @@ routes: ``deep_walk_equal`` (seeded random walks),
 ``length_refinement_equal`` (the closed form with every beta refined to the
 longest beta length, exponential in that length, where the library refines
 only along the heads of longer betas) and ``verify_relations_oracle`` (the
-relation check by a scan of the whole test set).  Two more replaced
-routes close the file: ``minimal_oracle``, the least cyclotomic level by
-one linear elimination per divisor, and ``parse_element_oracle``, which
-parses an expression one element per generator.
+relation check by a scan of the whole test set).  More replaced routes
+close the file: ``minimal_oracle``, the least cyclotomic level by one
+linear elimination per divisor; ``parse_element_oracle``, which parses an
+expression by recursive descent over Fraction tokens, one element per
+generator; ``polar_terms_oracle``, which tests a value against every power
+of the root of unity past the basis (``powers``); and ``split_sign_oracle``,
+which prints a coefficient from Fractions; ``cyclotomic_poly_oracle``
+builds Phi_n by long division.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -64,8 +69,8 @@ from graphck import (
     w_normal_form,
 )
 from graphck.algebra import path_isometry, vertex_projection, zero
-from graphck.exact import Cyclotomic, _cyclotomic_poly, _powers
-from graphck.expr import ExprError, _Parser, _tokenize
+from graphck.exact import HALF, Cyclotomic, _cyclotomic_poly
+from graphck.expr import ExprError
 from graphck.graph import Path, path_key
 from graphck.reps import LEVELS, combos_equal
 
@@ -569,7 +574,7 @@ def _restrict(v: Cyclotomic, m: int) -> Cyclotomic | None:
     """``v`` at the level m dividing its own, or None when it does not lie in
     Q(zeta_m): solve lift(y) == v by elimination over Fractions."""
     step, size = v.level // m, len(_cyclotomic_poly(m)) - 1
-    lifts = list(itertools.islice(_powers(v.level), 0, step * size, step))  # zeta_m^j for j < size
+    lifts = list(itertools.islice(powers(v.level), 0, step * size, step))  # zeta_m^j for j < size
     rows = [[Fraction(p[i]) for p in lifts] + [Fraction(c, v.den)] for i, c in enumerate(v.num)]
     for j in range(size):  # the lift is injective, so every column has a pivot
         p = next(i for i in range(j, len(rows)) if rows[i][j])
@@ -602,10 +607,82 @@ def minimal_oracle(v: Cyclotomic) -> Cyclotomic:
 minimal_oracle.__test__ = False  # an oracle, not a pytest test
 
 
-class _FactorParser(_Parser):
-    """The element syntax parsed one element per factor: each generator is
-    an element, the factors of a term are multiplied with ``*`` and the
-    terms summed with ``+``.  Scalars are read as ``graphck.expr`` reads them."""
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<gen>(?:p|s\*|s)\[[^\]]*\])
+    | (?P<num>\d+(?:/\d+)?)
+    | (?P<imag>i)
+    | (?P<op>[@*+\-()])
+    """,
+    re.X,
+)
+
+
+def _tokenize(text: str):
+    """The tokens of an element expression, whitespace a token of its own and
+    every number a Fraction."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ExprError(f"unexpected character at position {pos}: {text[pos]!r}")
+        pos = m.end()
+        if m.lastgroup == "ws":
+            continue
+        if m.lastgroup == "gen":
+            raw = m.group()
+            head, inner = raw.split("[", 1)
+            ids = tuple(inner[:-1].split())
+            tokens.append(("gen", head, ids))
+        elif m.lastgroup == "num":
+            num, _, den = m.group().partition("/")
+            try:
+                tokens.append(("num", Fraction(int(num), int(den or 1))))
+            except ZeroDivisionError as err:
+                raise ExprError(f"zero denominator at position {m.start()}: {m.group()!r}") from err
+        elif m.lastgroup == "imag":
+            tokens.append(("i",))
+        else:
+            tokens.append((m.group(),))
+    return tokens
+
+
+class _FactorParser:
+    """The element syntax parsed by recursive descent, one element per
+    factor: each generator is an element, the factors of a term are
+    multiplied with ``*`` and the terms summed with ``+``.  Scalars are read
+    from Fraction tokens through ``GaussianRational``, ``PolarCoeff`` and
+    ``rational``."""
+
+    def __init__(self, g: Graph, tokens):
+        self.g = g
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ExprError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.take()
+        if tok[0] != kind:
+            raise ExprError(f"expected {kind!r}, got {tok[0]!r}")
+        return tok
+
+    def take_sign(self) -> int | None:
+        tok = self.peek()
+        if tok is None or tok[0] not in ("+", "-"):
+            return None
+        self.take()
+        return -1 if tok[0] == "-" else 1
 
     def parse(self) -> AlgebraElement:
         total = zero()
@@ -637,18 +714,45 @@ class _FactorParser(_Parser):
         return elem.scaled(coeff)
 
     def parse_factor(self):
+        """A generator's element, or a scalar."""
         tok = self.peek()
-        if tok is None or tok[0] != "gen":
-            return super().parse_factor()
-        _, head, ids = self.take()
-        if head == "p":
-            if len(ids) != 1:
-                raise ExprError(f"p[...] takes one vertex id, got {ids}")
-            return vertex_projection(self.g, ids[0])
-        if not ids:
-            raise ExprError("s[...] needs at least one edge id")
-        elem = path_isometry(self.g, self.g.path(list(ids)))
-        return elem.adjoint() if head == "s*" else elem
+        if tok is not None and tok[0] == "gen":
+            _, head, ids = self.take()
+            if head == "p":
+                if len(ids) != 1:
+                    raise ExprError(f"p[...] takes one vertex id, got {ids}")
+                return vertex_projection(self.g, ids[0])
+            if not ids:
+                raise ExprError("s[...] needs at least one edge id")
+            elem = path_isometry(self.g, self.g.path(list(ids)))
+            return elem.adjoint() if head == "s*" else elem
+        if tok is not None and tok[0] == "(":
+            self.take()
+            total = self.parse_scalar(self.take_sign() or 1)
+            sign = self.take_sign()
+            while sign is not None:
+                total = total + self.parse_scalar(sign)
+                sign = self.take_sign()
+            self.expect(")")
+            return total
+        return self.parse_scalar(1)
+
+    def parse_scalar(self, sign: int):
+        """``i``, ``num``, ``num i`` or ``num@turn``, times ``sign``."""
+        tok = self.take()
+        if tok[0] == "i":
+            return exact.GaussianRational(0, sign)
+        if tok[0] != "num":
+            raise ExprError(f"unexpected token {tok[0]!r}")
+        value = sign * tok[1]
+        nxt = self.peek()
+        if nxt == ("@",):
+            self.take()
+            return exact.PolarCoeff(value, self.expect("num")[1])
+        if nxt == ("i",):
+            self.take()
+            return exact.GaussianRational(0, value)
+        return exact.rational(value)
 
 
 def parse_element_oracle(g: Graph, text: str) -> AlgebraElement:
@@ -660,3 +764,71 @@ def parse_element_oracle(g: Graph, text: str) -> AlgebraElement:
     if len(tokens) == 1 and tokens[0] == ("num", Fraction(0)):
         return zero()
     return _FactorParser(g, tokens).parse()
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly_oracle(n: int) -> tuple[int, ...]:
+    """Phi_n, lowest degree first, by long division of x^n - 1 by Phi_d for
+    each d < n dividing n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            div = cyclotomic_poly_oracle(d)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for i in reversed(range(len(quot))):
+                c = quot[i] = poly[i + len(div) - 1]
+                for j, p in enumerate(div):
+                    poly[i + j] -= c * p
+            poly = quot
+    return tuple(poly)
+
+
+def powers(n: int, k: int = 0):
+    """zeta_n^j for j = k, k + 1, ... in the power basis modulo Phi_n, one at a
+    time, from 0 <= k <= phi(n)."""
+    phi = _cyclotomic_poly(n)
+    deg = len(phi) - 1
+    vec = [-p for p in phi[:-1]] if k == deg else [int(j == k) for j in range(deg)]
+    while True:
+        yield vec
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:  # x^deg = -(Phi_n - x^deg)
+            vec = [v - top * p for v, p in zip(vec, phi)]
+
+
+def _fold(mag: Fraction, turn: Fraction) -> tuple[Fraction, Fraction]:
+    turn %= 1
+    return (-mag, turn - HALF) if turn >= HALF else (mag, turn)
+
+
+def polar_terms_oracle(x: Cyclotomic) -> list[tuple[Fraction, Fraction]]:
+    """``x.polar_terms()`` by a walk over every power zeta_n^k past the basis,
+    phi(n) <= k < n, each tested for proportionality with ``x``."""
+    n, num = x.level, x.num
+    hits = [k for k, c in enumerate(num) if c]
+    if len(hits) > 1:
+        for k, p in zip(range(len(num), n), powers(n, len(num))):
+            j = next(i for i, v in enumerate(p) if v)
+            if all(c * p[j] == num[j] * v for c, v in zip(num, p)):
+                return [_fold(Fraction(num[j], x.den * p[j]), Fraction(k, n))]
+    return sorted((_fold(Fraction(num[k], x.den), Fraction(k, n)) for k in hits), key=lambda term: term[1])
+
+
+def split_sign_oracle(x: Cyclotomic, polar: bool = False, unsign: bool = True) -> tuple[bool, str]:
+    """``exact.split_sign`` with every printed part a Fraction and the polar
+    parts found by ``polar_terms_oracle``."""
+    if not polar and x.level == 4:
+        re_, im = Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
+        neg = re_ < 0 or (re_ == 0 and im < 0)
+        if neg and unsign:
+            re_, im = -re_, -im
+        imag = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{abs(im)}i")
+        return neg, imag if re_ == 0 else f"({re_}{'-' if im < 0 else '+'}{imag.lstrip('-')})"
+    terms = polar_terms_oracle(x)
+    neg = bool(terms) and terms[0][0] < 0
+    sign = -1 if neg and unsign else 1
+    texts = [str(sign * mag) if turn == 0 else f"{sign * mag}@{turn}" for mag, turn in terms]
+    if len(texts) < 2:
+        return neg, texts[0] if texts else "0"
+    return neg, "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"

@@ -15,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import graphck
 from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
-from graphck import cli
+from graphck import cli, exact
 from graphck.cli import main
 from graphck.graph import cyclic_components
 from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph
@@ -121,7 +121,7 @@ def test_transform_invalid_cutting_set(files, capsys):
     code, _, err = _run(
         capsys, ["transform", files["g2"], "--reduce", "--cutting-set", "e1,e2"]
     )
-    assert code == 2 and "cutting set" in err
+    assert code == 2 and err == "graphck: error: e1,e2 is not a cutting set\n"
 
 
 def test_tails_toeplitz_of_g1(files, capsys):
@@ -326,6 +326,29 @@ def test_expect_examples(files, capsys):
     assert json.loads(out)["result"]["expectation"] == "p[u]"
 
 
+def test_expect_renders_each_coefficient_value_once(files, capsys, monkeypatch):
+    """element, wNormalForm and expectation print from one table of texts:
+    one split_sign call per distinct coefficient value (2, -3 and 1+i here),
+    where printing the three reports apart makes 4 + 4 + 3 calls."""
+    calls = []
+    split_sign = exact.split_sign
+
+    def counted(x, *args):
+        calls.append((x.level, x.num, x.den))
+        return split_sign(x, *args)
+
+    monkeypatch.setattr(exact, "split_sign", counted)
+    text = "2 * p[u] - 3 * s[e1] + (1+i) * s[e1] * s*[e1] + (1+i) * s[e1 e2] * s*[e1 e2]"
+    code, out, _ = _run(capsys, ["expect", files["g2"], f"--element={text}"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["element"] == ("2 * p[u] - 3 * s[e1] + (1+i) * s[e1] * s*[e1]"
+                                 " + (1+i) * s[e1 e2] * s*[e1 e2]")
+    assert result["wNormalForm"] == "2 * p[u] + (1+i) * p[v] - 3 * s[e1] + (1+i) * s[e1] * s*[e1]"
+    assert result["expectation"] == "2 * p[u] + (1+i) * p[v] + (1+i) * s[e1] * s*[e1]"
+    assert sorted(calls) == [(1, (-3,), 1), (1, (2,), 1), (4, (1, 1), 1)]
+
+
 def test_expect_parse_error(files, capsys):
     code, _, err = _run(capsys, ["expect", files["g1"], "--element=s[e"])
     assert code == 2 and "error" in err
@@ -335,6 +358,10 @@ def test_pretty_mode_runs(files, capsys):
     code, out, _ = _run(capsys, ["analyze", files["g1"], "--pretty"])
     assert code == 0
     assert "command : analyze" in out
+    # an empty list prints as [], apart from the header of a list with items
+    code, out, _ = _run(capsys, ["analyze", files["g3"], "--pretty"])
+    assert code == 0
+    assert "cuttingSet: []\nentranceFreeClasses: []\n" in out and "simpleCycles:\n  - " in out
 
 
 def test_verify_decides_graphs_above_the_old_budget(capsys, tmp_path):

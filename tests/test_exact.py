@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from graphck import (
 )
 from graphck import exact
 from graphck.exact import TOL
-from oracles import minimal_oracle
+from oracles import cyclotomic_poly_oracle, minimal_oracle, polar_terms_oracle, powers, split_sign_oracle
 
 I = GaussianRational(0, 1)
 
@@ -148,6 +149,11 @@ def test_equality_across_levels():
     assert third_at_4 != GaussianRational(Fraction(1, 2))
     # Q(zeta_6) = Q(zeta_3): a sixth turn is stored at level 3
     assert PolarCoeff(1, Fraction(1, 6)).level == 3
+
+
+def test_cyclotomic_polynomials_match_long_division():
+    for n in [*range(1, 211), 420, 840, 997, 1000]:
+        assert exact._cyclotomic_poly(n) == cyclotomic_poly_oracle(n), n
 
 
 def test_levels_above_the_limit_are_refused():
@@ -349,3 +355,57 @@ def test_rendering_a_level_840_value_is_fast():
     text = cube.render(polar=True)
     assert time.perf_counter() - started < 0.2  # 0.6-0.9 s by one elimination per divisor
     assert text.startswith("(1+3@1/840+")
+
+
+# ------------------------------------ polar terms from one guessed power, and
+# coefficient text from integers
+
+_WALK_LEVELS = (3, 5, 8, 12, 24, 840, 997)
+
+
+def _power(n, k, mag):
+    """mag * zeta_n^k at level n, from the power walk of the oracle."""
+    vec = next(itertools.islice(powers(n), k, None))
+    p, q = mag.as_integer_ratio()
+    return Cyclotomic(n, tuple(p * v for v in vec), q)
+
+
+@st.composite
+def level_values(draw):
+    """A rational multiple of one power of zeta_n, of either sign, or a sum of
+    two or three of them, stored at level n."""
+    n = draw(st.sampled_from(_WALK_LEVELS))
+    mags = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    total = _power(n, draw(st.integers(0, n - 1)), draw(mags))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        total = total + _power(n, draw(st.integers(0, n - 1)), draw(mags))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_values())
+@example(_power(997, 996, Fraction(-2, 3)))  # every coordinate -2/3
+@example(_power(840, 839, Fraction(1)) + _power(840, 1, Fraction(1)))
+@example(_power(5, 4, Fraction(-1)))  # odd level, c < 0: a half turn off every power
+def test_polar_terms_match_the_power_walk(x):
+    """The guessed power finds what the walk over every power past the basis
+    finds, folded sign included, and ``as_phase`` reads a unit alike."""
+    terms = x.polar_terms()
+    assert terms == polar_terms_oracle(x)
+    if len(terms) == 1 and abs(terms[0][0]) == 1:
+        mag, turn = terms[0]
+        assert exact.as_phase(x) == Phase(turn if mag > 0 else turn + Fraction(1, 2))
+
+
+def test_polar_terms_of_the_level_840_cube_match_the_power_walk():
+    x = PolarCoeff(1, Fraction(1, 840)) + PolarCoeff(Fraction(2, 3), Fraction(3, 840)) + exact.ONE
+    for v in (x, x * x * x, -(x * x * x), PolarCoeff(Fraction(-7, 2), Fraction(601, 840))):
+        assert v.polar_terms() == polar_terms_oracle(v)
+        assert v.minimal().polar_terms() == polar_terms_oracle(v.minimal())
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclotomics() | level_values(), st.booleans(), st.booleans())
+def test_split_sign_matches_the_fraction_text(c, polar, unsign):
+    x = c.minimal()
+    assert exact.split_sign(x, polar, unsign) == split_sign_oracle(x, polar, unsign)

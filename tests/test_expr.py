@@ -109,6 +109,17 @@ def test_parse_errors():
         parse_element(g1, "(1+i * p[v]")
 
 
+def test_error_positions_name_the_character_not_the_whitespace_before_it():
+    g1 = g1_loop()
+    with pytest.raises(ExprError, match=r"^zero denominator at position 8: '1/0'$"):
+        parse_element(g1, "p[v] +  1/0 * s[e]")
+    with pytest.raises(ExprError, match=r"^unexpected character at position 8: '\$'$"):
+        parse_element(g1, "p[v] \t\n $ s[e]")
+    assert parse_element(g1, " \t p[v]\n+s[e]  ") == parse_element(g1, "p[v] + s[e]")
+    with pytest.raises(ExprError, match="^empty expression$"):
+        parse_element(g1, " \n ")
+
+
 # ------------------------------------------- one monomial per term, checked
 # against the factor-by-factor route
 

@@ -99,7 +99,7 @@ def test_twisted_construction_validation():
     g2 = g2_cyc2()
     with pytest.raises(GraphError, match="cutting set"):
         twisted_boundary(g2, {"e1": Phase(0), "e2": Phase(0)})
-    with pytest.raises(GraphError, match="cutting set"):
+    with pytest.raises(GraphError, match="^e1 is not a cutting set$"):
         twisted_boundary(g3_ent(), {"e1": Phase(0)})
     with pytest.raises(GraphError, match="unit"):
         twisted_boundary(g2, {"e1": 0.5 + 0j})
