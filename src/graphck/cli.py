@@ -48,6 +48,19 @@ EXIT_INPUT = 2
 _PARSER = None  # built by the first ``main`` call
 
 
+class _Value(argparse.Action):
+    """Store one option value. argparse before Python 3.12 drops a value of
+    exactly ``--`` (``--element=--``) and passes ``[]``: text options get the
+    ``--`` back, typed or choice options reject it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            if self.type is not None or self.choices is not None:
+                raise argparse.ArgumentError(self, "invalid value: '--'")
+            values = "--"
+        setattr(namespace, self.dest, values)
+
+
 def _load_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
@@ -257,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--toeplitz", action="store_true")
     mode.add_argument("--reduce", action="store_true")
-    p.add_argument("--cutting-set", help="comma-separated edge ids (reduce mode)")
-    p.add_argument("--output", help="also write the emitted graph to this file")
+    p.add_argument("--cutting-set", action=_Value, help="comma-separated edge ids (reduce mode)")
+    p.add_argument("--output", action=_Value, help="also write the emitted graph to this file")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("tails", help="maximal tails and primitive-ideal catalog")
@@ -274,19 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--rep",
+        action=_Value,
         required=True,
         choices=[LEFT_REGULAR, BOUNDARY, OMEGA, TWISTED],
     )
     p.add_argument(
-        "--level", required=True, choices=["tck", "ck", "reduced", "normalized"]
+        "--level", action=_Value, required=True, choices=["tck", "ck", "reduced", "normalized"]
     )
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--kappa", help="edge:num/den[,edge:num/den...] phase turns")
+    p.add_argument("--depth", action=_Value, type=int, default=None)
+    p.add_argument("--kappa", action=_Value, help="edge:num/den[,edge:num/den...] phase turns")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expect", help="W-normal form and diagonal expectation")
     common(p)
-    p.add_argument("--element", required=True, help="element expression")
+    p.add_argument("--element", action=_Value, required=True, help="element expression")
     p.set_defaults(func=_cmd_expect)
 
     return parser

@@ -354,6 +354,19 @@ def test_expect_parse_error(files, capsys):
     assert code == 2 and "error" in err
 
 
+def test_an_option_value_of_two_dashes_reaches_the_command(files, capsys):
+    """argparse before Python 3.12 turns ``--element=--`` into ``[]``; the
+    text options still see ``--`` and the typed ones reject it."""
+    assert _run(capsys, ["expect", files["g1"], "--element=--"]) == (
+        2, "", "graphck: error: unexpected token '-'\n")
+    code, _, err = _run(capsys, ["transform", files["g1"], "--reduce", "--cutting-set=--"])
+    assert code == 2 and err == "graphck: error: -- is not a cutting set\n"
+    for option in ("--depth=--", "--rep=--"):
+        argv = ["verify", files["g1"], "--rep=omega", "--level=ck", option]
+        code, _, err = _run_exiting(capsys, argv)
+        assert code == 2 and f"argument {option[:-3]}:" in err
+
+
 def test_pretty_mode_runs(files, capsys):
     code, out, _ = _run(capsys, ["analyze", files["g1"], "--pretty"])
     assert code == 0
