@@ -131,8 +131,9 @@ class AlgebraElement:
 
 def render_element(a: AlgebraElement, polar: bool, texts: dict) -> str:
     """``a.render(polar)``, reading each exact coefficient's printed sign and
-    magnitude from ``texts``, keyed by (level, num, den), and adding those it
-    prints first: elements printed with one table print each value once."""
+    magnitude from ``texts``, keyed by (level, num, den), and each monomial's
+    text, keyed by its (alpha, beta) pair, and adding those it prints first:
+    elements printed with one table print each value and each key once."""
     if a.is_zero:
         return "0"
     parts: list[str] = []
@@ -145,7 +146,9 @@ def render_element(a: AlgebraElement, polar: bool, texts: dict) -> str:
             if text is None:
                 text = texts[value] = exact.split_sign(c.minimal(), polar)
             neg, cs = text
-        body = _monomial_str(alpha, beta)
+        body = texts.get((alpha, beta))
+        if body is None:
+            body = texts[alpha, beta] = _monomial_str(alpha, beta)
         piece = body if cs == "1" else f"{cs} * {body}"
         if not parts:
             parts.append(("-" if neg else "") + piece)

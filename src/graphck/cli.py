@@ -7,10 +7,17 @@ form and runs no witness search, so it never raises ``WorkBudgetError``,
 which bounds only the library's reports on custom families.
 
 ``main`` may be called many times in one process.  It builds the argparse
-tree on its first call and keeps it in ``_PARSER``: ``parse_args`` leaves a
-parser unchanged and reads the help width and the output streams only when
-it prints.  The tree is no ``lru_cache``, whose ``cache_clear`` benchmarks
-call between tasks; like a compiled regex, it depends on no input.
+tree on its first call and keeps it in ``_PARSER``: parsing leaves a parser
+unchanged and reads the help width and the output streams only when it
+prints.  The tree is no ``lru_cache``, whose ``cache_clear`` benchmarks call
+between tasks; like a compiled regex, it depends on no input.
+
+When the first argument names a command, ``main`` hands the rest straight to
+that command's parser, which is what the top-level parser would do after one
+more pass over every argument; strings the command does not know go to the
+top-level parser's own "unrecognized arguments" error.  Every other argument
+list (help, ``--version``, an unknown command, options before the command or
+none at all) goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .algebra import diagonal, element_w_normal_form, render_element
@@ -62,8 +70,10 @@ class _Value(argparse.Action):
 
 
 def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    # bytes decoded at once: the same text, line numbers and errors as a
+    # text-mode read, since parse_graph splits CR, LF and CRLF alike
+    with open(path, "rb") as fh:
+        return parse_graph(fh.read().decode("utf-8"))
 
 
 def _report(command: str, g, result: dict) -> dict:
@@ -79,7 +89,28 @@ def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         _print_pretty(report)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_layout(report, ""))
+
+
+def _layout(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for what a report
+    holds: dicts with string keys, lists, tuples and JSON scalars.  Strings go
+    through the C encoder; ``json.dumps`` with an indent runs in Python."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_str(k)}: {_layout(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_layout(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
 
 
 def _print_pretty(report: dict) -> None:
@@ -306,11 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, straight through the command's own parser
+    when ``argv`` starts with a command name."""
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(_PARSER, sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (

@@ -175,8 +175,14 @@ def is_cutting_set(g: Graph, edges) -> bool:
 
 def checked_cutting_set(g: Graph, edges) -> tuple[str, ...]:
     """The edges, sorted, when they form a cutting set of ``g``; else a
-    GraphError naming them as ``--cutting-set`` takes them (``l1,l2``)."""
+    GraphError naming them as ``--cutting-set`` takes them (``l1,l2``).  A
+    set names each edge once, and no edge has an empty name."""
     chosen = tuple(sorted(edges))
+    if "" in chosen:
+        raise GraphError("cutting set names an empty edge")
+    for a, b in zip(chosen, chosen[1:]):
+        if a == b:
+            raise GraphError(f"cutting set names edge {a!r} twice")
     if not is_cutting_set(g, chosen):
         raise GraphError(f"{','.join(chosen) or 'the empty edge set'} is not a cutting set")
     return chosen

@@ -142,8 +142,14 @@ class Graph:
                 raise GraphError(f"edge {e!r} has dangling range {r!r}")
             src[e] = s
             rng[e] = r
-        self.vertices: tuple[str, ...] = tuple(sorted(vs))
-        self.edges: tuple[str, ...] = tuple(sorted(ids))
+        self._build(vs, src, rng)
+
+    def _build(self, vertices: list[str], src: dict[str, str], rng: dict[str, str]) -> None:
+        """Fill the slots from data checked as ``__init__`` checks it: distinct
+        ids in the text format, and ``src``/``rng`` taking each edge to
+        declared vertices."""
+        self.vertices: tuple[str, ...] = tuple(sorted(vertices))
+        self.edges: tuple[str, ...] = tuple(sorted(src))
         self._src = src
         self._rng = rng
         incoming: dict[str, list[str]] = {v: [] for v in self.vertices}
@@ -240,9 +246,9 @@ def parse_graph(text: str) -> Graph:
     starts a comment.  Identifiers are preserved verbatim.
     """
     vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
     seen_v: set[str] = set()
-    seen_e: set[str] = set()
+    src: dict[str, str] = {}
+    rng: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -260,17 +266,19 @@ def parse_graph(text: str) -> Graph:
             if not m or not all(_ID_RE.match(x) for x in m.groups()):
                 raise GraphParseError("malformed edge declaration", line_no, raw)
             e, s, r = m.groups()
-            if e in seen_e:
+            if e in src:
                 raise GraphParseError(f"duplicate edge id {e!r}", line_no, raw)
-            seen_e.add(e)
             if s not in seen_v:
                 raise GraphParseError(f"edge endpoint {s!r} not declared", line_no, raw)
             if r not in seen_v:
                 raise GraphParseError(f"edge endpoint {r!r} not declared", line_no, raw)
-            edges.append((e, s, r))
+            src[e] = s
+            rng[e] = r
         else:
             raise GraphParseError("unrecognized declaration", line_no, raw)
-    return Graph(vertices, edges)
+    graph = Graph.__new__(Graph)
+    graph._build(vertices, src, rng)  # every line was checked above
+    return graph
 
 
 def sources(g: Graph) -> tuple[str, ...]:

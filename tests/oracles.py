@@ -28,7 +28,9 @@ expression by recursive descent over Fraction tokens, one element per
 generator; ``polar_terms_oracle``, which tests a value against every power
 of the root of unity past the basis (``powers``); and ``split_sign_oracle``,
 which prints a coefficient from Fractions; ``cyclotomic_poly_oracle``
-builds Phi_n by long division.
+builds Phi_n by long division; ``parse_graph_oracle`` reads the graph format
+line by line and builds the graph through the checked ``Graph`` constructor,
+where ``parse_graph`` skips the checks that its own line checks already made.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from graphck import (
 from graphck.algebra import path_isometry, vertex_projection, zero
 from graphck.exact import HALF, Cyclotomic, _cyclotomic_poly
 from graphck.expr import ExprError
-from graphck.graph import Path, path_key
+from graphck.graph import _EDGE_RE, _ID_RE, GraphParseError, Path, path_key
 from graphck.reps import LEVELS, combos_equal
 
 from corpus import rep_family
@@ -832,3 +834,37 @@ def split_sign_oracle(x: Cyclotomic, polar: bool = False, unsign: bool = True) -
     if len(texts) < 2:
         return neg, texts[0] if texts else "0"
     return neg, "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+
+
+def parse_graph_oracle(text: str) -> Graph:
+    """``parse_graph``, with every line checked here and the whole graph
+    checked again by ``Graph(vertices, edges)``."""
+    vertices: list[str] = []
+    edges: list[tuple[str, str, str]] = []
+    seen_e: set[str] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "vertex":
+            if len(parts) != 2 or not _ID_RE.match(parts[1]):
+                raise GraphParseError("malformed vertex declaration", line_no, raw)
+            if parts[1] in vertices:
+                raise GraphParseError(f"duplicate vertex id {parts[1]!r}", line_no, raw)
+            vertices.append(parts[1])
+        elif parts[0] == "edge":
+            m = _EDGE_RE.match(line)
+            if not m or not all(_ID_RE.match(x) for x in m.groups()):
+                raise GraphParseError("malformed edge declaration", line_no, raw)
+            e, s, r = m.groups()
+            if e in seen_e:
+                raise GraphParseError(f"duplicate edge id {e!r}", line_no, raw)
+            seen_e.add(e)
+            for end in (s, r):
+                if end not in vertices:
+                    raise GraphParseError(f"edge endpoint {end!r} not declared", line_no, raw)
+            edges.append((e, s, r))
+        else:
+            raise GraphParseError("unrecognized declaration", line_no, raw)
+    return Graph(vertices, edges)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -15,7 +16,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import graphck
 from graphck import Graph, element_w_normal_form, is_maximal_tail, parse_element, parse_graph, sources
-from graphck import cli, exact
+from graphck import algebra, cli, exact
 from graphck.cli import main
 from graphck.graph import cyclic_components
 from corpus import BUDGET_GRAPH, CORPUS, EXTRAS, g1_loop, g2_cyc2, g3_ent, g4_line, layered_graph
@@ -122,6 +123,16 @@ def test_transform_invalid_cutting_set(files, capsys):
         capsys, ["transform", files["g2"], "--reduce", "--cutting-set", "e1,e2"]
     )
     assert code == 2 and err == "graphck: error: e1,e2 is not a cutting set\n"
+
+
+def test_transform_refuses_a_repeated_or_empty_cutting_set_edge(files, capsys):
+    for option, message in (
+        ("--cutting-set=e1,e1", "cutting set names edge 'e1' twice"),
+        ("--cutting-set=,", "cutting set names an empty edge"),
+        ("--cutting-set=e2,", "cutting set names an empty edge"),
+    ):
+        argv = ["transform", files["g2"], "--reduce", option]
+        assert _run(capsys, argv) == (2, "", f"graphck: error: {message}\n"), option
 
 
 def test_tails_toeplitz_of_g1(files, capsys):
@@ -293,6 +304,105 @@ def test_the_reused_parser_prints_what_a_fresh_one_prints(files, capsys, monkeyp
     assert cli._PARSER is shared
 
 
+DISPATCH_CASES = (
+    ["verify", "G", "--rep=boundary", "--level=ck", "--bogus"],
+    ["analyze", "G", "extra"],
+    ["analyze", "--", "G"],
+    ["verify", "G", "--rep=boundary", "--level=ck", "--", "extra"],
+    ["verify", "-h"],
+    ["verify", "G", "--rep=omega", "-h"],
+    ["verify", "G", "--rep=boundary", "--lev=ck"],
+    ["verify", "G", "--rep=boundary", "--level=ck", "--ver"],
+    ["analyze", "G", "--version"],
+    ["verify", "G", "--rep=boundary"],
+    ["transform", "G"],
+    ["verify", "G", "--rep=nope", "--level=ck"],
+    ["verify", "G", "--rep=omega", "--level=ck", "--depth=x"],
+    [],
+    ["nope", "G"],
+    ["--help"],
+    ["--version", "analyze", "G"],
+    ["--pretty", "analyze", "G"],
+    ["analyze", "G", "--pretty"],
+    ["transform", "G", "--reduce", "--cutting-set=e,e"],
+    ["expect", "G", "--element=--"],
+)
+
+
+def test_the_dispatch_prints_what_the_top_level_parser_prints(files, capsys, monkeypatch):
+    """``main`` hands a command's arguments straight to the command's parser;
+    exit code, stdout and stderr are those of ``_PARSER.parse_args``."""
+    cases = [[files["g1"] if arg == "G" else arg for arg in argv] for argv in DISPATCH_CASES]
+    direct = [_run_exiting(capsys, argv) for argv in cases]
+    parser, parsed = cli._PARSER, 0
+    for argv in cases:
+        try:
+            full = vars(parser.parse_args(argv))
+        except SystemExit:
+            continue
+        assert vars(cli._parse_args(parser, argv)) == full, argv
+        parsed += 1
+    capsys.readouterr()
+    assert parsed == 5
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    assert [_run_exiting(capsys, argv) for argv in cases] == direct
+    assert [code for code, _, _ in direct] == [2, 2, 0, 2, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2, 0, 2, 2]
+    assert direct[0][2].endswith("graphck: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_command_is_parsed_once(files, capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert _run(capsys, ["verify", files["g1"], "--rep=omega", "--level=ck"])[0] == 0
+    assert calls == ["graphck verify"]
+
+
+def _load_in_text_mode(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_graph(fh.read())
+
+
+GRAPH_BYTES = (
+    b"vertex u\nvertex v\nedge e1 : u -> v\nedge e2 : v -> u\n",
+    b"vertex u\r\nvertex v\r\nedge e1 : u -> v\r\nedge e2 : v -> u\r\n",
+    b"vertex u\rvertex v\redge e1 : u -> v\redge e2 : v -> u\r",
+    b"vertex u\r\n\r\nvertex v\nedge e1 : u -> v # c\redge e2 : v -> u",
+    b"\xef\xbb\xbfvertex u\n",
+    b"vertex u\r\rvertex u\r\n",
+    b"vertex u\r\n\redge e : u -> q\r\n",
+    "vertex \u00e9\n".encode(),
+    b"vertex \xff\n",
+    b"vertex u\nvertex \xc3",
+    b"".join(b"vertex v%d\n" % i for i in range(2000)) + b"vertex \xe2\x82\n",
+)
+
+
+def test_a_graph_file_loads_as_in_text_mode(capsys, tmp_path, monkeypatch):
+    """Read as bytes and decoded at once, a file gives what a text-mode read
+    gave: CR, LF and CRLF ends alike, a BOM kept, and the same decode error,
+    also past the first 8 KiB."""
+    argvs = []
+    for k, data in enumerate(GRAPH_BYTES):
+        path = tmp_path / f"{k}.graph"
+        path.write_bytes(data)
+        argvs.append(["analyze", str(path)])
+    got = [_run(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_load_graph", _load_in_text_mode)
+    assert [_run(capsys, argv) for argv in argvs] == got
+    assert [code for code, _, _ in got] == [0] * 4 + [2] * 7
+    assert got[1] == got[2] == got[3] == got[0]
+    assert [err.split(": ")[2:4] for _, _, err in got[4:8]] == [
+        ["line 1", "unrecognized declaration"], ["line 3", "duplicate vertex id 'u'"],
+        ["line 3", "edge endpoint 'q' not declared"], ["line 1", "malformed vertex declaration"]]
+    assert got[-1][2].endswith("in position 24897-24898: invalid continuation byte\n")
+
+
 def test_no_flag_leaks_from_one_call_to_the_next(files, capsys):
     for first, second in (
         (["verify", files["g1"], "--rep=twisted", "--level=reduced", "--kappa=e:1/3"],
@@ -347,6 +457,23 @@ def test_expect_renders_each_coefficient_value_once(files, capsys, monkeypatch):
     assert result["wNormalForm"] == "2 * p[u] + (1+i) * p[v] - 3 * s[e1] + (1+i) * s[e1] * s*[e1]"
     assert result["expectation"] == "2 * p[u] + (1+i) * p[v] + (1+i) * s[e1] * s*[e1]"
     assert sorted(calls) == [(1, (-3,), 1), (1, (2,), 1), (4, (1, 1), 1)]
+
+
+def test_expect_prints_each_key_once(files, capsys, monkeypatch):
+    """The three printed elements share one table of key texts: one
+    ``_monomial_str`` call per distinct (alpha, beta) key, five here, where
+    printing the three apart makes 4 + 4 + 3 calls."""
+    calls = []
+    monomial_str = algebra._monomial_str
+
+    def counted(a, b):
+        calls.append((a.render(), b.render()))
+        return monomial_str(a, b)
+
+    monkeypatch.setattr(algebra, "_monomial_str", counted)
+    text = "2 * p[u] - 3 * s[e1] + (1+i) * s[e1] * s*[e1] + (1+i) * s[e1 e2] * s*[e1 e2]"
+    assert _run(capsys, ["expect", files["g2"], f"--element={text}"])[0] == 0
+    assert sorted(calls) == [("@u", "@u"), ("@v", "@v"), ("e1", "@u"), ("e1", "e1"), ("e1 e2", "e1 e2")]
 
 
 def test_expect_parse_error(files, capsys):

@@ -13,8 +13,11 @@ from graphck import (
     is_cutting_set,
     mu_lambda,
     rotations,
+    reduced_graph,
+    rescale_generators,
     simple_cycles,
 )
+from graphck.cycles import checked_cutting_set
 from corpus import (
     CORPUS,
     EXTRAS,
@@ -141,6 +144,23 @@ def test_cutting_set_validation():
     assert is_cutting_set(loops2, ("l1", "l2"))
     assert not is_cutting_set(loops2, ("l1",))
     assert not is_cutting_set(g2_cyc2(), ("e1", "e2"))
+
+
+def test_a_cutting_set_names_each_edge_once():
+    """A repeated or empty edge name is refused by name, where it used to
+    pass as a set (``e1,e1``) or read as no cutting set (``,``)."""
+    g = g2_cyc2()
+    assert checked_cutting_set(g, ("e2",)) == ("e2",)
+    for edges, message in (
+        (("e1", "e1"), "cutting set names edge 'e1' twice"),
+        (("e2", "e1", "e2"), "cutting set names edge 'e2' twice"),
+        (("", ""), "cutting set names an empty edge"),
+        (("e1", ""), "cutting set names an empty edge"),
+    ):
+        for build in (checked_cutting_set, reduced_graph, lambda g, cut: rescale_generators(g, cut, 0)):
+            with pytest.raises(GraphError) as err:
+                build(g, edges)
+            assert str(err.value) == message, (edges, build)
 
 
 def test_mu_lambda_examples():

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -54,7 +55,8 @@ from graphck import (
     vertex_projection,
 )
 from graphck.algebra import AlgebraElement
-from graphck.graph import enumerate_paths
+from graphck.cli import _layout
+from graphck.graph import GraphError, enumerate_paths
 from graphck.reps import LEVELS, _test_vectors
 from corpus import BUDGET_GRAPH, is_inexact, kernel_elements, layered_graph, random_graphs, rep_family
 from oracles import (
@@ -67,6 +69,7 @@ from oracles import (
     length_refinement_equal,
     maximal_tails_oracle,
     omega_set_oracle,
+    parse_graph_oracle,
     report_tuple,
     simple_cycles_oracle,
     strip_suffix,
@@ -487,3 +490,66 @@ def test_passing_toeplitz_reports_build_no_test_set(g):
         for rep in (left_regular(tg.graph), boundary(tg.graph)):
             assert verify_relations(rep, TCK, family=fam).passed, rep.kind
         assert time.perf_counter() - started < 2.0
+
+
+JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "\u2028", "\U0001f600", "\ud800"])
+REPORT_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_STRINGS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_TREES)
+def test_report_layout_matches_json_dumps(tree):
+    """The CLI's report layout is ``json.dumps(indent=2, sort_keys=True)``
+    on every tree of the kinds a report holds, empty containers included."""
+    assert _layout(tree, "") == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@st.composite
+def graph_file_texts(draw):
+    """Graph texts with comments, blank lines and LF, CRLF or CR line ends;
+    some declare an endpoint late, repeat an id or hold a malformed line."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    lines = [f"vertex {v}" for v in vs]
+    for k in range(draw(st.integers(0, 6))):
+        s, r = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+        lines.append(f"edge e{k} : {s} -> {r}" + draw(st.sampled_from(["", "", "  # note"])))
+    if lines and draw(st.booleans()):  # an edge moved ahead of its endpoints, or a repeat
+        line = lines.pop(draw(st.integers(0, len(lines) - 1)))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.sampled_from([False, False, True])):
+        bad = draw(st.sampled_from(["vertex", "vertex a b", "vertex bad!id", "edge x : v0 -> q",
+                                    "edge y : v0 v0", "edge z : v0 -> b@d", "bogus", "\ufeffvertex w"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "# comment"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_file_texts())
+def test_parse_graph_matches_the_checked_constructor(text):
+    """``parse_graph`` builds without the constructor's second round of
+    checks: the graph equals the one ``Graph(vertices, edges)`` builds, and a
+    malformed text raises the same error with the same message."""
+    try:
+        want = parse_graph_oracle(text)
+    except GraphError as err:
+        event(type(err).__name__)
+        with pytest.raises(GraphError) as got:
+            parse_graph(text)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
+        return
+    g = parse_graph(text)
+    assert g == want and hash(g) == hash(want)
+    assert (g.vertices, g.edges) == (want.vertices, want.edges)
+    assert all((g.in_edges(v), g.out_edges(v)) == (want.in_edges(v), want.out_edges(v)) for v in want.vertices)
+    assert all((g.source_of(e), g.range_of(e)) == (want.source_of(e), want.range_of(e)) for e in want.edges)
+    assert g.to_text() == want.to_text() and g.fingerprint() == want.fingerprint()
