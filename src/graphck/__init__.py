@@ -55,7 +55,6 @@ from .exact import (
     ExactnessError,
     GaussianRational,
     LevelError,
-    Phase,
     PolarCoeff,
 )
 from .expr import ExprError, parse_element

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import __version__
 from .algebra import diagonal, element_w_normal_form, render_element
 from .cycles import canonical_cutting_set, entrance_free_classes, simple_cycles
-from .exact import ExactnessError, Phase, from_phase
+from .exact import ExactnessError, unit_turn
 from .expr import ExprError, parse_element
 from .graph import GraphError, is_cofinal, parse_graph, sources
 from .reps import (
@@ -207,8 +207,8 @@ def _cmd_tails(args) -> int:
     return EXIT_OK
 
 
-def _parse_kappa(text: str) -> dict[str, Phase]:
-    table: dict[str, Phase] = {}
+def _parse_kappa(text: str) -> dict[str, Fraction]:
+    table: dict[str, Fraction] = {}
     for item in text.split(","):
         if ":" not in item:
             raise GraphError(f"malformed kappa entry {item!r}; use edge:num/den")
@@ -217,7 +217,7 @@ def _parse_kappa(text: str) -> dict[str, Phase]:
         if edge in table:
             raise GraphError(f"kappa names edge {edge!r} twice")
         try:
-            table[edge] = Phase(Fraction(turn.strip()))
+            table[edge] = Fraction(turn.strip())
         except (ValueError, ZeroDivisionError) as err:
             raise GraphError(f"malformed kappa phase {turn!r}") from err
     return table
@@ -256,10 +256,10 @@ def _cmd_verify(args) -> int:
     }
     if args.rep == TWISTED:
         entries = []
-        # --kappa holds rational turns, so each value is a Phase
+        # --kappa holds rational turns, so each value is an exact root of unity
         for cls, value in sorted(extract_kappa(rep).items(), key=lambda kv: kv[0].representative.edges):
-            entries.append({"class": cls.representative.render(), "turn": str(value.turn),
-                            "value": from_phase(value).render(polar=True)})
+            turn, text = unit_turn(value)
+            entries.append({"class": cls.representative.render(), "turn": str(turn), "value": text})
         result["kappa"] = entries
     _emit(_report("verify", g, result), args.pretty)
     return EXIT_OK if report.passed else EXIT_FAIL

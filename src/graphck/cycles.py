@@ -165,7 +165,12 @@ def canonical_cutting_set(g: Graph) -> tuple[str, ...]:
 
 
 def is_cutting_set(g: Graph, edges) -> bool:
+    """Whether ``edges`` names one edge of each entrance-free class, each edge
+    once, and no other edge."""
+    edges = tuple(edges)
     chosen = set(edges)
+    if len(chosen) != len(edges):
+        return False
     classes = entrance_free_classes(g)
     if not all(len(chosen & cls.edge_set) == 1 for cls in classes):
         return False

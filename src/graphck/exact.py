@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rational phases and the cyclotomic fields Q(zeta_N).
+"""Exact scalar arithmetic in the cyclotomic fields Q(zeta_N).
 
 A coefficient is one of two kinds, and the value itself says which:
 
@@ -39,13 +39,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 TOL = 1e-9
-
-HALF = Fraction(1, 2)
 
 
 class ExactnessError(ArithmeticError):
@@ -58,36 +55,6 @@ def _fraction(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected a rational value, got {x!r}")
-
-
-@dataclass(frozen=True)
-class Phase:
-    """The unit scalar exp(2*pi*i*turn) with rational ``turn``, reduced mod 1."""
-
-    turn: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "turn", _fraction(self.turn) % 1)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.turn + other.turn)
-
-    def __pow__(self, n: int) -> "Phase":
-        return Phase(self.turn * n)
-
-    def conjugate(self) -> "Phase":
-        return Phase(-self.turn)
-
-    @property
-    def is_one(self) -> bool:
-        return self.turn == 0
-
-    @property
-    def value(self) -> complex:
-        return cmath.rect(1.0, 2.0 * math.pi * float(self.turn))
-
-    def __str__(self) -> str:
-        return str(self.turn)
 
 
 MAX_LEVEL = 1000
@@ -288,11 +255,27 @@ def split_sign(x: Cyclotomic, polar: bool = False, unsign: bool = True) -> tuple
     parts = _polar_parts(x)  # the negation of x has the parts (-p, q, k, n)
     neg = bool(parts) and parts[0][0] < 0
     sign = -1 if neg and unsign else 1
-    texts = [_ratio_text(sign * p, q) if k == 0 else f"{_ratio_text(sign * p, q)}@{_ratio_text(k, n)}"
-             for p, q, k, n in parts]
+    texts = [_part_text(sign * p, q, k, n) for p, q, k, n in parts]
     if len(texts) < 2:
         return neg, texts[0] if texts else "0"
     return neg, "(" + texts[0] + "".join(t if t[0] == "-" else "+" + t for t in texts[1:]) + ")"
+
+
+def _part_text(p: int, q: int, k: int, n: int) -> str:
+    """The polar text of the part (p/q, k/n): mag@turn, or mag alone at turn 0."""
+    return _ratio_text(p, q) if k == 0 else f"{_ratio_text(p, q)}@{_ratio_text(k, n)}"
+
+
+def unit_turn(x: Cyclotomic) -> tuple[Fraction, str] | None:
+    """(turn, text) when ``x`` is a root of unity, else None: the turn t in
+    [0, 1) with x = exp(2*pi*i*t), and ``x.render(polar=True)``.  Both come
+    from one ``_polar_parts`` call, where a root is the one part +-1@k/n and
+    the minus sign is a further half turn."""
+    parts = _polar_parts(x)
+    if len(parts) != 1 or abs(parts[0][0]) != parts[0][1]:
+        return None
+    p, q, k, n = parts[0]
+    return Fraction(2 * k + n, 2 * n) if p < 0 else Fraction(k, n), _part_text(p, q, k, n)
 
 
 def _ratio_text(p: int, q: int) -> str:
@@ -400,10 +383,6 @@ def GaussianRational(re=0, im=0) -> Cyclotomic:
     return Cyclotomic(4, (p * b, q * a), a * b)
 
 
-def from_phase(ph: Phase) -> Cyclotomic:
-    return _root(ph.turn.denominator, ph.turn.numerator)
-
-
 def PolarCoeff(mag=0, turn=0) -> Cyclotomic:
     """The exact value mag * exp(2*pi*i*turn) for rationals mag and turn."""
     (m, d), (k, n) = _ratio(mag), _ratio(turn)
@@ -423,7 +402,7 @@ ONE = rational(1)
 
 
 def as_complex(c) -> complex:
-    if isinstance(c, (Cyclotomic, Phase)):
+    if isinstance(c, Cyclotomic):
         return c.value
     return complex(c)
 
@@ -432,8 +411,6 @@ def coerce(value) -> Cyclotomic:
     """``value`` as an exact coefficient; ExactnessError for an inexact one."""
     if isinstance(value, Cyclotomic):
         return value
-    if isinstance(value, Phase):
-        return from_phase(value)
     if isinstance(value, (int, Fraction)):
         return rational(value)
     if isinstance(value, (complex, float)):
@@ -454,9 +431,9 @@ def mul(a, b):
 
 
 def times_phase(c, ph):
-    """Multiply a coefficient by a unit scalar (a Phase, or a complex unit)."""
-    if isinstance(ph, Phase):
-        return c if ph.turn == 0 else mul(c, from_phase(ph))
+    """Multiply a coefficient by a unit scalar (an exact root of unity, or a complex unit)."""
+    if isinstance(ph, Cyclotomic):
+        return c if ph.level == 1 and ph.num[0] == ph.den else mul(c, ph)
     if isinstance(ph, complex):
         return as_complex(c) * ph
     raise TypeError(f"not a phase: {ph!r}")
@@ -479,24 +456,6 @@ def is_unit(c) -> bool:
     if isinstance(c, complex):
         return abs(abs(c) - 1.0) < TOL
     return c * c.conjugate() == ONE
-
-
-def as_phase(value):
-    """The Phase of a rational turn (or its string), of a Phase, or of an exact
-    root of unity; any other unit (complex, or exact but of infinite order) is
-    returned unchanged."""
-    if isinstance(value, Phase):
-        return value
-    if isinstance(value, (int, Fraction, str)):
-        return Phase(value)
-    if isinstance(value, Cyclotomic):
-        terms = value.polar_terms()
-        if len(terms) == 1 and abs(terms[0][0]) == 1:
-            mag, turn = terms[0]
-            return Phase(turn if mag > 0 else turn + HALF)
-    if is_unit(value):
-        return value
-    raise ExactnessError(f"{value} is not a unit scalar")
 
 
 def render(c, polar: bool = False) -> str:

@@ -61,7 +61,7 @@ from .algebra import (AlgebraElement, GeneratorFamily, ck_defect, efree_rotation
                       strip_rotation, w_normal_form)
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
 from .cycles import checked_cutting_set, class_of_edge, entrance_free_classes, is_cycle
-from .exact import Phase, as_phase
+from .exact import Cyclotomic
 from .graph import Graph, GraphError, Path, path_layers
 from .transform import rational_phase, twist
 
@@ -123,21 +123,20 @@ def omega(g: Graph) -> Representation:
 def twisted_boundary(g: Graph, kappa) -> Representation:
     """Boundary representation with cutting-set generators rescaled by kappa.
 
-    ``kappa`` maps the edges of a cutting set to exact phases (rational turns)
-    or to complex units.  When any value is complex (or a float), every value
-    becomes a complex unit, and the representation acts inexactly.
+    ``kappa`` maps the edges of a cutting set to units that ``rational_phase``
+    reads: rational turns, exact roots of unity or complex units.  When any
+    value is complex (or a float), every value becomes a complex unit, and the
+    representation acts inexactly.
     """
     table = dict(kappa)
     checked_cutting_set(g, table)
-    if not any(isinstance(v, (complex, float)) for v in table.values()):
-        phases = {e: rational_phase(v) for e, v in table.items()}
-        return Representation(TWISTED, g, phases)
-    phases = {}
-    for e, v in table.items():
-        v = complex(v) if isinstance(v, (complex, float)) else as_phase(v).value
-        if abs(abs(v) - 1.0) > exact.TOL:
-            raise GraphError(f"kappa[{e}] is not a unit: {v}")
-        phases[e] = v
+    inexact = (complex, float)
+    phases = {e: v if isinstance(v, inexact) else rational_phase(v) for e, v in table.items()}
+    if any(isinstance(v, inexact) for v in phases.values()):
+        phases = {e: exact.as_complex(v) for e, v in phases.items()}
+        for e, v in phases.items():
+            if abs(abs(v) - 1.0) > exact.TOL:
+                raise GraphError(f"kappa[{e}] is not a unit: {v}")
     return Representation(TWISTED, g, phases)
 
 
@@ -357,7 +356,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
     if depth < mind:
         raise ValueError(f"depth {depth} is below the required minimum {mind}")
     # scalars print in polar style when some phase is no quarter turn
-    polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
+    polar = any(isinstance(ph, Cyclotomic) and 4 % ph.level for ph in rep.kappa.values())
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
     receiving = [v for v in idx.vertices if idx.in_edges(v)]
@@ -418,8 +417,9 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
 
 
 def extract_kappa(rep: Representation):
-    """The phase by which each entrance-free cycle isometry acts on its
-    periodic point, read in closed form as in ``verify_relations``; raises
+    """The unit by which each entrance-free cycle isometry acts on its
+    periodic point, read in closed form as in ``verify_relations``: an exact
+    root of unity, or a complex unit on an inexact representation.  Raises
     NotReducedError on left-regular, naming the vector xi_{r(mu)} that s_mu
     moves."""
     out = {}
@@ -432,7 +432,7 @@ def extract_kappa(rep: Representation):
             )
         if not exact.is_unit(scalar):
             raise NotReducedError(f"s[{mu.render()}] acts by a non-unit {scalar}")
-        out[cls] = as_phase(scalar)
+        out[cls] = scalar
     return out
 
 
@@ -444,6 +444,6 @@ def rescale_family(rep: Representation) -> Representation:
     extracted = extract_kappa(rep)
     new_kappa = {}
     for x, ph in rep.kappa.items():
-        kc = extracted[class_of_edge(rep.graph, x)]  # a Phase or a complex, like ph
+        kc = extracted[class_of_edge(rep.graph, x)]  # exact or complex, like ph
         new_kappa[x] = ph * kc.conjugate()
     return twisted_boundary(rep.graph, new_kappa)

@@ -33,7 +33,7 @@ from .cycles import (
     cycle_class,
     entrance_free_classes,
 )
-from .exact import Cyclotomic, Phase, as_phase
+from .exact import Cyclotomic, ExactnessError
 from .graph import Graph, GraphError, Path
 
 
@@ -116,27 +116,41 @@ def reduced_graph(g: Graph, cutting_set) -> ReducedGraph:
 
 
 def rational_phase(value):
-    """``as_phase(value)``, refusing an exact unit of infinite order (such as
-    3/5+4/5i), which no rational turn names; complex units pass through."""
-    ph = as_phase(value)
-    if isinstance(ph, Cyclotomic):
-        raise GraphError(f"exact phase {ph!r} is a unit of infinite order, not a rational phase")
-    return ph
+    """The one reading of a kappa value as a unit scalar.
+
+    A rational turn (an int, a Fraction or its string) and an exact root of
+    unity both give the root at its least level, as ``PolarCoeff(1, turn)``
+    builds it; a complex unit passes through.  An exact unit of infinite order
+    (such as 3/5+4/5i), which no rational turn names, raises GraphError, and
+    anything else that is not a unit raises ExactnessError.
+    """
+    if isinstance(value, (int, Fraction, str)):
+        return exact.PolarCoeff(1, value)
+    if isinstance(value, Cyclotomic):
+        read = exact.unit_turn(value)
+        if read is not None:
+            return exact.PolarCoeff(1, read[0])
+        if exact.is_unit(value):
+            raise GraphError(f"exact phase {value!r} is a unit of infinite order, not a rational phase")
+    elif isinstance(value, complex) and exact.is_unit(value):
+        return value
+    raise ExactnessError(f"{value} is not a unit scalar")
 
 
-def class_phases(g: Graph, kappa) -> dict[CycleClass, Phase]:
-    """Normalize a phase assignment onto the entrance-free classes.
+def class_phases(g: Graph, kappa) -> dict[CycleClass, Cyclotomic | complex]:
+    """Normalize a phase assignment onto the entrance-free classes, each
+    value read by ``rational_phase``.
 
-    Accepts a single phase (constant function), a mapping keyed by
+    Accepts a single unit (constant function), a mapping keyed by
     CycleClass, by canonical-rotation edge tuple, or by cutting-set edge.
     A mapping names every class with exactly one key, and no other key.
     """
     classes = entrance_free_classes(g)
-    if isinstance(kappa, (Phase, Cyclotomic, int, Fraction, str)):
+    if not isinstance(kappa, Mapping):
         ph = rational_phase(kappa)
         return {cls: ph for cls in classes}
-    out: dict[CycleClass, Phase] = {}
-    for key, value in dict(kappa).items():
+    out: dict[CycleClass, Cyclotomic | complex] = {}
+    for key, value in kappa.items():
         cls = next((c for c in classes if key in (c, c.representative.edges)
                     or (isinstance(key, str) and key in c.edge_set)), None)
         if cls is None:
@@ -162,7 +176,7 @@ class IdealGenerators:
 
     graph: Graph
     delta_vertices: tuple[str, ...]
-    pins: tuple[tuple[Phase, CycleClass], ...]
+    pins: tuple[tuple[Cyclotomic | complex, CycleClass], ...]
     delta_style: str
 
     def elements(self) -> list[AlgebraElement]:
@@ -184,8 +198,7 @@ class IdealGenerators:
         for v in self.delta_vertices:
             out.append(f"delta[{v}]" if self.delta_style == "defect" else f"p[{v}]")
         for phase, cls in self.pins:
-            coeff = exact.from_phase(phase).render(polar=True)
-            head = "" if phase.is_one else f"{coeff} * "
+            head = "" if phase == exact.ONE else f"{exact.render(phase, polar=True)} * "
             for mu in cls.members:
                 out.append(f"{head}p[{mu.range}] - s[{mu.render()}]")
         return out
@@ -268,7 +281,7 @@ class GeneratorRescaling:
 
     graph: Graph
     cutting_set: tuple[str, ...]
-    edge_phases: Mapping[str, Phase]
+    edge_phases: Mapping[str, Cyclotomic | complex]
 
     def rescale_element(self, a: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(

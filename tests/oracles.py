@@ -31,6 +31,9 @@ which prints a coefficient from Fractions; ``cyclotomic_poly_oracle``
 builds Phi_n by long division; ``parse_graph_oracle`` reads the graph format
 line by line and builds the graph through the checked ``Graph`` constructor,
 where ``parse_graph`` skips the checks that its own line checks already made.
+Last come ``Phase``, a unit held as a rational turn, and ``as_phase``, which
+read a kappa value into it: the second unit type that exact roots of unity
+replaced, kept as the reference for ``transform.rational_phase``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 import random
 import re
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,7 +59,6 @@ from graphck import (
     BoundaryPath,
     GeneratorRescaling,
     Graph,
-    Phase,
     RelationFailure,
     RelationReport,
     apply,
@@ -71,7 +74,7 @@ from graphck import (
     w_normal_form,
 )
 from graphck.algebra import path_isometry, vertex_projection, zero
-from graphck.exact import HALF, Cyclotomic, _cyclotomic_poly
+from graphck.exact import Cyclotomic, ExactnessError, _cyclotomic_poly
 from graphck.expr import ExprError
 from graphck.graph import _EDGE_RE, _ID_RE, GraphParseError, Path, path_key
 from graphck.reps import LEVELS, combos_equal
@@ -514,7 +517,7 @@ def verify_relations_oracle(rep, level: str, depth: int | None = None, family=No
     if depth < mind:
         raise ValueError(f"depth {depth} is below the required minimum {mind}")
     basis = basis_elements(rep, depth)
-    polar = any(isinstance(ph, Phase) and 4 % ph.turn.denominator for ph in rep.kappa.values())
+    polar = any(isinstance(ph, Cyclotomic) and 4 % as_phase(ph).turn.denominator for ph in rep.kappa.values())
     failures: list[RelationFailure] = []
     kappa_found: list[tuple[str, str]] = []
 
@@ -799,6 +802,9 @@ def powers(n: int, k: int = 0):
             vec = [v - top * p for v, p in zip(vec, phi)]
 
 
+HALF = Fraction(1, 2)
+
+
 def _fold(mag: Fraction, turn: Fraction) -> tuple[Fraction, Fraction]:
     turn %= 1
     return (-mag, turn - HALF) if turn >= HALF else (mag, turn)
@@ -868,3 +874,35 @@ def parse_graph_oracle(text: str) -> Graph:
         else:
             raise GraphParseError("unrecognized declaration", line_no, raw)
     return Graph(vertices, edges)
+
+
+@dataclass(frozen=True)
+class Phase:
+    """The unit scalar exp(2*pi*i*turn) with rational ``turn``, reduced mod 1."""
+
+    turn: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "turn", Fraction(self.turn) % 1)
+
+    def cyclotomic(self) -> Cyclotomic:
+        """The same unit as an exact root of unity."""
+        return exact.PolarCoeff(1, self.turn)
+
+
+def as_phase(value):
+    """The Phase of a rational turn (or its string), of a Phase, or of an exact
+    root of unity; any other unit (complex, or exact but of infinite order) is
+    returned unchanged."""
+    if isinstance(value, Phase):
+        return value
+    if isinstance(value, (int, Fraction, str)):
+        return Phase(Fraction(value))
+    if isinstance(value, Cyclotomic):
+        terms = value.polar_terms()
+        if len(terms) == 1 and abs(terms[0][0]) == 1:
+            mag, turn = terms[0]
+            return Phase(turn if mag > 0 else turn + HALF)
+    if exact.is_unit(value):
+        return value
+    raise ExactnessError(f"{value} is not a unit scalar")

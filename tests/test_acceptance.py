@@ -19,7 +19,7 @@ from graphck import (
     REDUCED,
     TCK,
     TWISTED,
-    Phase,
+    PolarCoeff,
     boundary,
     boundary_set,
     canonical_cutting_set,
@@ -156,7 +156,7 @@ def test_criterion_5_relation_matrix():
         cut = canonical_cutting_set(g)
         if cut:
             kappa = {
-                x: Phase(Fraction(rng.randint(0, 11), rng.randint(1, 12)))
+                x: PolarCoeff(1, Fraction(rng.randint(0, 11), rng.randint(1, 12)))
                 for x in cut
             }
             trep = twisted_boundary(g, kappa)
@@ -177,8 +177,8 @@ def test_criterion_6_couniversal_detwisting():
     runs = 0
     while runs < 50:
         name, g = twisted_graphs[runs % len(twisted_graphs)]
-        kappa = {
-            x: Phase(Fraction(rng.randint(0, 11), rng.randint(1, 12)))
+        kappa = {  # rational turns
+            x: Fraction(rng.randint(0, 11), rng.randint(1, 12))
             for x in canonical_cutting_set(g)
         }
         trep = twisted_boundary(g, kappa)
@@ -186,7 +186,7 @@ def test_criterion_6_couniversal_detwisting():
         rescaled = rescale_family(trep)
         assert _verified(rescaled, NORMALIZED).passed, (name, kappa)
         for phase in extract_kappa(rescaled).values():
-            assert phase == Phase(0), (name, kappa)
+            assert phase == PolarCoeff(1, 0), (name, kappa)
         runs += 1
     assert runs == 50
     _finish(6, "de-twisting 50 random rational gauge assignments", started, 30.0)
@@ -260,7 +260,7 @@ def test_criterion_9_cross_oracle_equality():
         for p in enumerate_paths(g, 2):
             pools[p.source].append(p)
         quarter = {
-            x: Phase(Fraction(rng.randint(0, 3), 4))
+            x: Fraction(rng.randint(0, 3), 4)
             for x in canonical_cutting_set(g)
         }
         reps = [boundary(g), left_regular(g), omega(g), twisted_boundary(g, quarter)]

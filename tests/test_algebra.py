@@ -9,7 +9,7 @@ from graphck import (
     ExactnessError,
     GaussianRational,
     GraphError,
-    Phase,
+    PolarCoeff,
     canonical_family,
     ck_defect,
     diag_expectation,
@@ -112,7 +112,7 @@ def test_scalar_and_phase_action():
     g1 = g1_loop()
     s_e = path_isometry(g1, "e")
     assert (Fraction(1, 2) * s_e + Fraction(1, 2) * s_e) == s_e
-    rotated = s_e.scaled(Phase(Fraction(1, 4)))
+    rotated = s_e.scaled(PolarCoeff(1, Fraction(1, 4)))
     ((_, _),) = list(rotated.terms)
     assert list(rotated.terms.values())[0] == GaussianRational(0, Fraction(1))
 

@@ -163,6 +163,27 @@ def test_a_cutting_set_names_each_edge_once():
             assert str(err.value) == message, (edges, build)
 
 
+def test_is_cutting_set_agrees_with_checked_cutting_set():
+    """The predicate accepts exactly what ``checked_cutting_set`` builds from,
+    repeated and empty edge names included."""
+    loops2 = dict(CORPUS)["loops2"]
+    for g in (g1_loop(), g2_cyc2(), g3_ent(), loops2):
+        names = sorted({x for cls in entrance_free_classes(g) for x in cls.edge_set}) + [""]
+        candidates = [()] + [(x,) for x in names] + [(x, x) for x in names]
+        candidates += [(x, y) for x in names for y in names if x < y]
+        candidates += [(x, y, x) for x in names for y in names if x != y]
+        for edges in candidates:
+            try:
+                checked_cutting_set(g, edges)
+                built = True
+            except GraphError:
+                built = False
+            assert is_cutting_set(g, edges) == built, (g, edges)
+    assert not is_cutting_set(g2_cyc2(), ("e1", "e1"))
+    assert not is_cutting_set(g1_loop(), ("e", "e"))
+    assert is_cutting_set(g3_ent(), ()) and not is_cutting_set(g3_ent(), ("",))
+
+
 def test_mu_lambda_examples():
     g1, g2 = g1_loop(), g2_cyc2()
     mu, lam = mu_lambda(g1, "e")

@@ -14,7 +14,7 @@ from graphck import (
     AlgebraElement,
     GaussianRational,
     Graph,
-    Phase,
+    PolarCoeff,
     boundary,
     canonical_cutting_set,
     canonical_family,
@@ -125,7 +125,7 @@ def test_long_beta_agrees_with_the_length_refinement():
 
 def test_twisted_gaussian_pin_and_defect():
     g = g2_cyc2()
-    trep = twisted_boundary(g, {"e1": Phase(Fraction(1, 4))})
+    trep = twisted_boundary(g, {"e1": PolarCoeff(1, Fraction(1, 4))})
     assert not is_inexact(trep)
     mu = _s(g, "e1", "e2")
     i = GaussianRational(0, 1)
@@ -142,9 +142,9 @@ def test_gaussian_route_builds_no_test_set(refuse_test_sets):
     for rep in (boundary(g), omega(g)):
         assert operator_equal(rep, vertex_projection(g, "u"), ck)
     assert not operator_equal(left_regular(g), vertex_projection(g, "u"), ck)
-    trep = twisted_boundary(g2, {"e1": Phase(Fraction(1, 2))})
+    trep = twisted_boundary(g2, {"e1": PolarCoeff(1, Fraction(1, 2))})
     assert operator_equal(trep, _s(g2, "e1", "e2"), vertex_projection(g2, "v").scaled(-1))
-    third = Phase(Fraction(1, 3))
+    third = PolarCoeff(1, Fraction(1, 3))
     trep = twisted_boundary(g2, {"e1": third})
     mu, p_v = _s(g2, "e1", "e2"), vertex_projection(g2, "v")
     assert operator_equal(trep, mu, p_v.scaled(third))
@@ -189,7 +189,7 @@ def test_closed_form_matches_test_set_scan(g, data):
     pools = {}
     for p in enumerate_paths(g, 2):
         pools.setdefault(p.source, []).append(p)
-    turns = {x: Phase(Fraction(data.draw(st.integers(0, 11)), 12))
+    turns = {x: PolarCoeff(1, Fraction(data.draw(st.integers(0, 11)), 12))
              for x in canonical_cutting_set(g)}
     kinds = [boundary(g), left_regular(g), twisted_boundary(g, turns)]
     if omega_supported(g):
@@ -215,7 +215,7 @@ def _scan_cases():
     two directions; the scan raised ExactnessError on them while the
     coefficients could not hold such sums, and their true verdict is False."""
     g = dict(CORPUS)["selfloopmix"]  # loops la at a and lb at b, f : a -> b
-    third = Phase(Fraction(1, 3))
+    third = PolarCoeff(1, Fraction(1, 3))
     polar = twisted_boundary(g, {"la": third})
     fam = canonical_family(g)
     s_la, p_a = fam.s["la"], fam.p["a"]

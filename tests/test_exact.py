@@ -10,24 +10,29 @@ from graphck import (
     ExactnessError,
     GaussianRational,
     Graph,
-    Phase,
+    GraphError,
     PolarCoeff,
     parse_element,
     vertex_projection,
 )
 from graphck import exact
 from graphck.exact import TOL
-from oracles import cyclotomic_poly_oracle, minimal_oracle, polar_terms_oracle, powers, split_sign_oracle
+from graphck.transform import rational_phase
+from oracles import (Phase, as_phase, cyclotomic_poly_oracle, minimal_oracle, polar_terms_oracle, powers,
+                     split_sign_oracle)
 
 I = GaussianRational(0, 1)
 
 
 def test_phase_normalization_and_product():
-    assert Phase(Fraction(5, 4)).turn == Fraction(1, 4)
-    assert (Phase(Fraction(1, 3)) * Phase(Fraction(1, 2))).turn == Fraction(5, 6)
-    assert Phase(Fraction(1, 3)).conjugate().turn == Fraction(2, 3)
-    assert (Phase(Fraction(1, 6)) ** 6).is_one
-    assert abs(Phase(Fraction(1, 4)).value - 1j) < 1e-12
+    """A turn is read mod 1 into the root at its least level, and roots
+    multiply and conjugate as their turns add and negate."""
+    assert rational_phase(Fraction(5, 4)) == I
+    assert rational_phase(Fraction(1, 3)) * rational_phase("1/2") == rational_phase(Fraction(5, 6))
+    assert rational_phase(Fraction(1, 3)).conjugate() == rational_phase(Fraction(2, 3))
+    sixth = rational_phase(Fraction(1, 6))
+    assert sixth.level == 3 and sixth * sixth * sixth * sixth * sixth * sixth == exact.ONE
+    assert abs(rational_phase(Fraction(1, 4)).value - 1j) < 1e-12
 
 
 def test_gaussian_arithmetic():
@@ -46,12 +51,15 @@ def test_gaussian_arithmetic():
 
 def test_gaussian_quarter_turns():
     one = GaussianRational(Fraction(1))
-    assert exact.times_phase(one, Phase(Fraction(1, 4))) == I
-    assert exact.times_phase(one, Phase(Fraction(1, 2))) == GaussianRational(-1)
+    assert exact.times_phase(one, rational_phase(Fraction(1, 4))) == I
+    assert exact.times_phase(one, rational_phase(Fraction(1, 2))) == GaussianRational(-1)
     # any rational turn stays exact: a third turn lands in Q(zeta_3)
-    third = exact.times_phase(one, Phase(Fraction(1, 3)))
+    third = exact.times_phase(one, rational_phase(Fraction(1, 3)))
     assert third == PolarCoeff(1, Fraction(1, 3)) and third.level == 3
-    assert exact.times_phase(GaussianRational(0), Phase(Fraction(1, 3))).is_zero
+    assert exact.times_phase(GaussianRational(0), rational_phase(Fraction(1, 3))).is_zero
+    assert exact.times_phase(one, exact.ONE) is one
+    with pytest.raises(TypeError, match="not a phase"):
+        exact.times_phase(one, Fraction(1, 3))
 
 
 def test_polar_canonical_form():
@@ -59,9 +67,7 @@ def test_polar_canonical_form():
     assert PolarCoeff(Fraction(2), Fraction(3, 4)).render(polar=True) == "-2@1/4"
     assert PolarCoeff(Fraction(2), Fraction(3, 4)) == GaussianRational(0, -2)
     assert PolarCoeff(Fraction(0), Fraction(1, 3)).is_zero
-    assert exact.from_phase(Phase(Fraction(2, 3))) == PolarCoeff(
-        Fraction(-1), Fraction(1, 6)
-    )
+    assert rational_phase(Fraction(2, 3)) == PolarCoeff(Fraction(-1), Fraction(1, 6))
     assert PolarCoeff(1, Fraction(1, 3)).polar_terms() == [(1, Fraction(1, 3))]
 
 
@@ -83,7 +89,7 @@ def test_polar_multiplication_and_conjugate():
     b = PolarCoeff(Fraction(3), Fraction(1, 4))
     assert a * b == PolarCoeff(Fraction(6), Fraction(7, 12))
     assert a.conjugate() * a == PolarCoeff(Fraction(4))
-    assert abs(a.value - 2 * Phase(Fraction(1, 3)).value) < 1e-12
+    assert abs(a.value - 2 * PolarCoeff(1, Fraction(1, 3)).value) < 1e-12
 
 
 def test_mode_dispatch():
@@ -97,14 +103,13 @@ def test_mode_dispatch():
     # a complex operand makes the result complex, compared within TOL
     assert exact.scalars_equal(complex(0, 1), GaussianRational(0, Fraction(1)))
     assert isinstance(exact.add(g, 1j), complex)
-    assert abs(exact.mul(PolarCoeff(1, Fraction(1, 3)), 2j) - 2j * Phase(Fraction(1, 3)).value) < TOL
+    assert abs(exact.mul(PolarCoeff(1, Fraction(1, 3)), 2j) - 2j * PolarCoeff(1, Fraction(1, 3)).value) < TOL
 
 
 def test_coerce_and_units():
     assert exact.coerce(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
-    assert exact.coerce(Phase(Fraction(1, 4))) == I
-    assert exact.coerce(Phase(Fraction(1, 3))) == PolarCoeff(1, Fraction(1, 3))
-    assert exact.as_complex(Phase(Fraction(1, 2))) == pytest.approx(-1)
+    assert exact.coerce(rational_phase(Fraction(1, 4))) == I
+    assert exact.as_complex(rational_phase(Fraction(1, 2))) == pytest.approx(-1)
     for inexact in (0.5 + 0j, 0.5):
         with pytest.raises(ExactnessError, match="inexact"):
             exact.coerce(inexact)
@@ -113,17 +118,26 @@ def test_coerce_and_units():
     assert exact.is_unit(PolarCoeff(-1, Fraction(2, 7)))
 
 
-def test_as_phase():
-    assert exact.as_phase(PolarCoeff(Fraction(-1), Fraction(1, 6))) == Phase(
-        Fraction(2, 3)
-    )
-    assert exact.as_phase(GaussianRational(0, Fraction(-1))) == Phase(Fraction(3, 4))
-    assert exact.as_phase(Fraction(1, 3)) == Phase(Fraction(1, 3))  # a turn
-    with pytest.raises(ExactnessError):
-        exact.as_phase(GaussianRational(Fraction(2)))
-    assert exact.as_phase(complex(0, 1)) == complex(0, 1)
+def test_rational_phase_reads_every_kind_of_unit():
+    """Turns and exact roots of unity give the root at its least level, a
+    complex unit passes, and anything else is refused."""
+    root = rational_phase(PolarCoeff(Fraction(-1), Fraction(1, 6)))
+    assert root == PolarCoeff(1, Fraction(2, 3)) and root.level == 3
+    assert rational_phase(GaussianRational(0, Fraction(-1))) == PolarCoeff(1, Fraction(3, 4))
+    for turn in (Fraction(1, 3), "1/3", Fraction(-2, 3)):
+        x = rational_phase(turn)
+        assert (x.level, x.num, x.den) == (3, (0, 1), 1)
+    assert rational_phase(0) == rational_phase(1) == exact.ONE
+    at_8 = Cyclotomic(8, (0, 0, 1, 0))  # zeta_4 written at level 8
+    assert rational_phase(at_8).level == 4
+    with pytest.raises(ExactnessError, match="2 is not a unit scalar"):
+        rational_phase(GaussianRational(Fraction(2)))
+    with pytest.raises(ExactnessError, match="is not a unit scalar"):
+        rational_phase(2j)
+    assert rational_phase(complex(0, 1)) == complex(0, 1)
     unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))  # no root of unity
-    assert exact.as_phase(unit) is unit
+    with pytest.raises(GraphError, match="unit of infinite order"):
+        rational_phase(unit)
 
 
 def test_repr_names_the_value():
@@ -139,7 +153,7 @@ def test_equality_across_levels():
     one_at_12 = PolarCoeff(1, Fraction(1, 12)) * PolarCoeff(1, Fraction(11, 12))
     assert one_at_12.level == 12 and one_at_12 == GaussianRational(1)
     assert one_at_12.minimal().level == (I * I).minimal().level == 1
-    assert exact.from_phase(Phase(Fraction(3, 12))) == I
+    assert rational_phase(Fraction(3, 12)) == I
     zeta12 = PolarCoeff(1, Fraction(1, 12))
     assert zeta12 * zeta12 * zeta12 == I
     assert (zeta12 * zeta12 * zeta12).level == 12
@@ -249,7 +263,7 @@ def test_field_axioms_against_complex_evaluation(a, b, c):
 @example(0, 0)
 def test_polar_coeff_matches_the_phase_product(mag, turn):
     # turns of denominator 2 mod 4 land a level below; a zero mag keeps the turn's level
-    x, y = PolarCoeff(mag, turn), exact.rational(mag) * exact.from_phase(Phase(turn))
+    x, y = PolarCoeff(mag, turn), exact.rational(mag) * rational_phase(turn)
     assert (x.level, x.num, x.den) == (y.level, y.num, y.den)
 
 
@@ -290,7 +304,7 @@ def test_render_parses_back_examples():
               PolarCoeff(1, Fraction(1, 3)) + PolarCoeff(1, Fraction(1, 6)),
               PolarCoeff(2, Fraction(1, 5)) - PolarCoeff(1, Fraction(1, 7)),
               -(PolarCoeff(1, Fraction(1, 3)) + PolarCoeff(1, Fraction(1, 6)))]:
-        e = p_v.scaled(c) + p_v.scaled(c).scaled(Phase(Fraction(1, 8))) * vertex_projection(G1, "v")
+        e = p_v.scaled(c) + p_v.scaled(c).scaled(PolarCoeff(1, Fraction(1, 8))) * vertex_projection(G1, "v")
         for polar in (False, True):
             assert parse_element(G1, e.render(polar)) == e, e.render(polar)
 
@@ -389,12 +403,12 @@ def level_values(draw):
 @example(_power(5, 4, Fraction(-1)))  # odd level, c < 0: a half turn off every power
 def test_polar_terms_match_the_power_walk(x):
     """The guessed power finds what the walk over every power past the basis
-    finds, folded sign included, and ``as_phase`` reads a unit alike."""
+    finds, folded sign included, and ``unit_turn`` reads a unit alike."""
     terms = x.polar_terms()
     assert terms == polar_terms_oracle(x)
     if len(terms) == 1 and abs(terms[0][0]) == 1:
         mag, turn = terms[0]
-        assert exact.as_phase(x) == Phase(turn if mag > 0 else turn + Fraction(1, 2))
+        assert exact.unit_turn(x) == ((turn if mag > 0 else turn + Fraction(1, 2)), x.render(polar=True))
 
 
 def test_polar_terms_of_the_level_840_cube_match_the_power_walk():
@@ -409,3 +423,45 @@ def test_polar_terms_of_the_level_840_cube_match_the_power_walk():
 def test_split_sign_matches_the_fraction_text(c, polar, unsign):
     x = c.minimal()
     assert exact.split_sign(x, polar, unsign) == split_sign_oracle(x, polar, unsign)
+
+
+# ------------------------------------- kappa values read by the one unit route
+
+@st.composite
+def kappa_pairs(draw):
+    """Two kappa values: a rational turn k/n with n <= MAX_LEVEL, or the root
+    of that turn, of either sign, written at a multiple of its least level up
+    to MAX_LEVEL (such as zeta_4 at level 8).  The second value has the
+    first's turn or a turn of the same denominator."""
+    n = draw(st.integers(1, exact.MAX_LEVEL))
+    k = draw(st.integers(-n, 2 * n))
+    out = []
+    for turn in (Fraction(k, n), Fraction(draw(st.integers(0, n) | st.just(k)), n)):
+        if draw(st.booleans()):
+            out.append(turn)
+            continue
+        negate = draw(st.booleans())
+        root = exact.PolarCoeff(1, turn + Fraction(1, 2) if negate else turn)
+        level = root.level * draw(st.integers(1, exact.MAX_LEVEL // root.level))
+        written = Cyclotomic(level, exact._lift(root, level))
+        out.append(-written if negate else written)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa_pairs())
+@example([Cyclotomic(8, (0, 0, 1, 0)), Fraction(1, 4)])
+@example([-Cyclotomic(12, (0, 0, 1, 0)), Fraction(2, 3)])  # -zeta_6 at level 12
+@example([Cyclotomic(2, (-1,)), Fraction(1, 2)])  # -1 at level 2
+@example([Fraction(5, 7), "5/7"])
+def test_rational_phase_reads_kappa_as_the_phase_route_did(pair):
+    """The root that ``rational_phase`` returns prints the turn, the polar
+    text and the polar flag of ``verify_relations`` that the old ``Phase``
+    route gave, and two roots are equal exactly when the two Phases were."""
+    old, new = [as_phase(v) for v in pair], [rational_phase(v) for v in pair]
+    for ph, root in zip(old, new):
+        turn, text = exact.unit_turn(root)
+        assert isinstance(ph, Phase) and str(turn) == str(ph.turn)
+        assert text == root.render(polar=True) == ph.cyclotomic().render(polar=True)
+        assert bool(4 % root.level) == bool(4 % ph.turn.denominator)
+    assert (new[0] == new[1]) == (old[0] == old[1])

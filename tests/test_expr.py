@@ -9,7 +9,6 @@ from graphck import (
     ExprError,
     Graph,
     GaussianRational,
-    Phase,
     PolarCoeff,
     parse_element,
     path_isometry,

@@ -33,7 +33,7 @@ from graphck import (
 from graphck import (
     REDUCED,
     TCK,
-    Phase,
+    PolarCoeff,
     WorkBudgetError,
     boundary,
     canonical_cutting_set,
@@ -294,7 +294,7 @@ def test_rescaling_maps_pins_and_fixes_defects(g, data):
     kappa(C) p_{r(mu)} - s_mu, fixes every CK defect, and rescaling by kappa
     and then by conj kappa is the identity."""
     cut = data.draw(st.sampled_from(cutting_sets(g)))
-    turn = st.integers(0, 11).map(lambda k: Phase(Fraction(k, 12)))
+    turn = st.integers(0, 11).map(lambda k: PolarCoeff(1, Fraction(k, 12)))
     constant = data.draw(turn)
     fam = canonical_family(g)
     defects = [ck_defect(fam, v) for v in g.vertices if g.in_edges(v)]
@@ -325,7 +325,7 @@ def _reps(g, turn):
     out = [left_regular(g), boundary(g)]
     if omega_supported(g):
         out.append(omega(g))
-    out.append(twisted_boundary(g, {x: Phase(turn) for x in canonical_cutting_set(g)}))
+    out.append(twisted_boundary(g, {x: PolarCoeff(1, turn) for x in canonical_cutting_set(g)}))
     return out
 
 
@@ -373,7 +373,7 @@ def test_heads_refinement_matches_the_length_refinement(g, k, data):
     and on random ones."""
     cut = canonical_cutting_set(g)
     zeta = cmath.exp(2j * math.pi * k / 12)
-    reps = [boundary(g), twisted_boundary(g, {x: Phase(Fraction(k, 12)) for x in cut}),
+    reps = [boundary(g), twisted_boundary(g, {x: PolarCoeff(1, Fraction(k, 12)) for x in cut}),
             twisted_boundary(g, {x: zeta for x in cut})]
     if omega_supported(g):
         reps.append(omega(g))
@@ -417,7 +417,7 @@ def canonical_reps(draw):
     turns = {x: Fraction(draw(st.integers(0, n - 1)), n) for x in canonical_cutting_set(g)}
     if kind == "complex":
         return twisted_boundary(g, {x: cmath.exp(2j * math.pi * t) for x, t in turns.items()})
-    return twisted_boundary(g, {x: Phase(t) for x, t in turns.items()})
+    return twisted_boundary(g, {x: PolarCoeff(1, t) for x, t in turns.items()})
 
 
 @settings(max_examples=150, deadline=None)

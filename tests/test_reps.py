@@ -21,7 +21,7 @@ from graphck import (
     GraphError,
     NotReducedError,
     WorkBudgetError,
-    Phase,
+    PolarCoeff,
     apply,
     boundary,
     boundary_set,
@@ -81,7 +81,7 @@ def test_apply_examples():
     lrep = left_regular(g1)
     out = apply(lrep, path_isometry(g1, "e"), g1.path(["e"]))
     assert list(out) == [g1.path(["e", "e"])]
-    trep = twisted_boundary(g1, {"e": Phase(Fraction(1, 2))})
+    trep = twisted_boundary(g1, {"e": PolarCoeff(1, Fraction(1, 2))})
     out = apply(trep, path_isometry(g1, "e"), x)
     assert out == {x: GaussianRational(Fraction(-1))}
 
@@ -98,15 +98,19 @@ def test_apply_basis_mismatch():
 def test_twisted_construction_validation():
     g2 = g2_cyc2()
     with pytest.raises(GraphError, match="cutting set"):
-        twisted_boundary(g2, {"e1": Phase(0), "e2": Phase(0)})
+        twisted_boundary(g2, {"e1": PolarCoeff(1, 0), "e2": PolarCoeff(1, 0)})
     with pytest.raises(GraphError, match="^e1 is not a cutting set$"):
-        twisted_boundary(g3_ent(), {"e1": Phase(0)})
+        twisted_boundary(g3_ent(), {"e1": PolarCoeff(1, 0)})
     with pytest.raises(GraphError, match="unit"):
         twisted_boundary(g2, {"e1": 0.5 + 0j})
     # an exact unit of infinite order is no rational phase
     with pytest.raises(GraphError, match="infinite order"):
         twisted_boundary(g2, {"e1": exact.GaussianRational(Fraction(3, 5), Fraction(4, 5))})
-    assert twisted_boundary(g2, {"e1": exact.PolarCoeff(-1, Fraction(1, 6))}).kappa == {"e1": Phase(Fraction(2, 3))}
+    trep = twisted_boundary(g2, {"e1": exact.PolarCoeff(-1, Fraction(1, 6))})
+    assert trep.kappa == {"e1": PolarCoeff(1, Fraction(2, 3))} and trep.kappa["e1"].level == 3
+    assert repr(trep) == "Representation(twisted, Graph(2 vertices, 2 edges), kappa={'e1': <Cyclotomic -1@1/6>})"
+    inexact = twisted_boundary(g2, {"e1": 1j})
+    assert repr(inexact) == "Representation(twisted, Graph(2 vertices, 2 edges), kappa={'e1': 1j})"
 
 
 def test_omega_rejects_unsupported_graphs():
@@ -162,15 +166,15 @@ def test_verify_depth_precondition():
 
 def test_twisted_reduced_and_extract_kappa():
     g1 = g1_loop()
-    trep = twisted_boundary(g1, {"e": Phase(Fraction(1, 2))})
+    trep = twisted_boundary(g1, {"e": PolarCoeff(1, Fraction(1, 2))})
     report = verify_relations(trep, REDUCED)
     assert report.passed
     assert report.kappa == (("e", "-1"),)
     (cls,) = entrance_free_classes(g1)
-    assert extract_kappa(trep) == {cls: Phase(Fraction(1, 2))}
-    quarter = twisted_boundary(g1, {"e": Phase(Fraction(1, 4))})
-    assert extract_kappa(quarter) == {cls: Phase(Fraction(1, 4))}
-    assert extract_kappa(boundary(g1)) == {cls: Phase(0)}
+    assert extract_kappa(trep) == {cls: PolarCoeff(1, Fraction(1, 2))}
+    quarter = twisted_boundary(g1, {"e": PolarCoeff(1, Fraction(1, 4))})
+    assert extract_kappa(quarter) == {cls: PolarCoeff(1, Fraction(1, 4))}
+    assert extract_kappa(boundary(g1)) == {cls: PolarCoeff(1, 0)}
     assert extract_kappa(twisted_boundary(g3_ent(), {})) == {}
 
 
@@ -181,8 +185,8 @@ def test_reports_carry_the_cycle_scalars_extract_kappa_reads():
     g = parse_graph("vertex u\nvertex v\nvertex w\nedge e1 : u -> v\nedge e2 : v -> u\n"
                     "edge f : w -> w\n")
     for f_turn in (Fraction(5, 6), Fraction(0)):
-        trep = twisted_boundary(g, {"e2": Phase(Fraction(1, 3)), "f": Phase(f_turn)})
-        read = {cls.representative.render(): exact.render(exact.from_phase(ph), polar=True)
+        trep = twisted_boundary(g, {"e2": PolarCoeff(1, Fraction(1, 3)), "f": PolarCoeff(1, f_turn)})
+        read = {cls.representative.render(): exact.render(ph, polar=True)
                 for cls, ph in extract_kappa(trep).items()}
         assert read["e1 e2"] == "1@1/3" and dict(verify_relations(trep, REDUCED).kappa) == read
         normalized = verify_relations(trep, NORMALIZED)
@@ -208,9 +212,9 @@ def test_complex_twist_on_an_exact_family():
 def test_extract_kappa_decides_graphs_above_the_old_budget():
     g = parse_graph(BUDGET_GRAPH + "vertex w\nedge lw : w -> w\n")
     started = time.perf_counter()
-    assert list(extract_kappa(boundary(g)).values()) == [Phase(0)]
-    trep = twisted_boundary(g, {"lw": Phase(Fraction(1, 6))})
-    assert list(extract_kappa(trep).values()) == [Phase(Fraction(1, 6))]
+    assert list(extract_kappa(boundary(g)).values()) == [PolarCoeff(1, 0)]
+    trep = twisted_boundary(g, {"lw": PolarCoeff(1, Fraction(1, 6))})
+    assert list(extract_kappa(trep).values()) == [PolarCoeff(1, Fraction(1, 6))]
     assert time.perf_counter() - started < 2.0
 
 
@@ -267,7 +271,7 @@ def test_passing_reports_build_no_test_set(refuse_test_sets):
         assert verify_relations(boundary(g), NORMALIZED).passed, name
         assert verify_relations(omega(g), NORMALIZED).passed, name
         cut = canonical_cutting_set(g)
-        kappa = {x: Phase(Fraction(rng.randrange(12), 12)) for x in cut}
+        kappa = {x: PolarCoeff(1, Fraction(rng.randrange(12), 12)) for x in cut}
         trep = twisted_boundary(g, kappa)
         assert verify_relations(trep, REDUCED).passed, name
         assert verify_relations(rescale_family(trep), NORMALIZED).passed, name
@@ -276,7 +280,7 @@ def test_passing_reports_build_no_test_set(refuse_test_sets):
 
 def test_witness_search_rejects_negative_depth():
     g = g2_cyc2()
-    quarter = twisted_boundary(g, {"e1": Phase(Fraction(1, 4))})
+    quarter = twisted_boundary(g, {"e1": PolarCoeff(1, Fraction(1, 4))})
     for rep in (left_regular(g), boundary(g), omega(g), quarter):
         with pytest.raises(ValueError, match="depth must be >= 0"):
             list(reps._test_vectors(rep, -1))
@@ -322,7 +326,7 @@ def test_canonical_reports_build_no_element(monkeypatch):
     rng = random.Random(7)
     cases = []
     for name, g in CORPUS:
-        kappa = {x: Phase(Fraction(rng.randrange(12), 12)) for x in canonical_cutting_set(g)}
+        kappa = {x: PolarCoeff(1, Fraction(rng.randrange(12), 12)) for x in canonical_cutting_set(g)}
         cases += [(name, rep) for rep in (left_regular(g), boundary(g), omega(g), twisted_boundary(g, kappa))]
     expected = {(name, rep.kind, level): report_tuple(verify_relations(
         rep, level, family=canonical_family(rep.graph))) for name, rep in cases for level in reps.LEVELS}
@@ -429,18 +433,15 @@ def test_an_incomplete_family_is_refused():
             assert verify_relations(rep, level, family=fam).passed == (rep.kind == BOUNDARY or level == TCK)
 
 
-def test_a_kappa_above_level_1000_fails_only_where_its_scalar_is_read():
-    """CK holds on a twisted representation whatever its kappa, so only
-    ``reduced`` and ``normalized``, which read the cycle scalar, need the
-    level of kappa and raise LevelError (the CLI, which prints kappa at every
-    level, exits 2 on each)."""
-    rep = twisted_boundary(g2_cyc2(), {"e1": Phase(Fraction(1, 1001))})
-    assert verify_relations(rep, TCK).passed and verify_relations(rep, CK).passed
-    for level in (REDUCED, NORMALIZED):
+def test_a_kappa_above_level_1000_is_refused_when_the_representation_is_built():
+    """Every kappa value is held as a root of unity, so a turn whose root
+    needs a level above 1000 raises LevelError at ``twisted_boundary``, before
+    any level is checked (the CLI exits 2 on it at every level)."""
+    for turn in (Fraction(1, 1001), "1/1001", Fraction(1000, 1001)):
         with pytest.raises(exact.LevelError, match="level 1001"):
-            verify_relations(rep, level)
-    with pytest.raises(exact.LevelError, match="level 1001"):
-        extract_kappa(rep)
+            twisted_boundary(g2_cyc2(), {"e1": turn})
+    rep = twisted_boundary(g2_cyc2(), {"e1": Fraction(1, 1000)})
+    assert verify_relations(rep, REDUCED).kappa == (("e1 e2", "1@1/1000"),)
 
 
 def test_extract_kappa_rejects_left_regular():
@@ -450,7 +451,7 @@ def test_extract_kappa_rejects_left_regular():
 
 def test_twisted_normalized_fails_with_witness():
     g1 = g1_loop()
-    trep = twisted_boundary(g1, {"e": Phase(Fraction(1, 2))})
+    trep = twisted_boundary(g1, {"e": PolarCoeff(1, Fraction(1, 2))})
     report = verify_relations(trep, NORMALIZED)
     assert not report.passed
     assert report.failures[0].relation == "R[e]"
@@ -459,9 +460,9 @@ def test_twisted_normalized_fails_with_witness():
 def test_phase_accumulates_once_per_period():
     # the cutting edge is traversed once per winding of any rotation
     g2 = g2_cyc2()
-    trep = twisted_boundary(g2, {"e1": Phase(Fraction(1, 3))})
+    trep = twisted_boundary(g2, {"e1": PolarCoeff(1, Fraction(1, 3))})
     (cls,) = entrance_free_classes(g2)
-    assert extract_kappa(trep)[cls] == Phase(Fraction(1, 3))
+    assert extract_kappa(trep)[cls] == PolarCoeff(1, Fraction(1, 3))
     double = path_isometry(g2, g2.path(["e1", "e2", "e1", "e2"]))
     x = canonicalize(g2.empty_path("v"), g2.path(["e1", "e2"]))
     out = apply(trep, double, x)
@@ -471,18 +472,18 @@ def test_phase_accumulates_once_per_period():
 def test_rescale_family_roundtrip():
     g1 = g1_loop()
     for turn in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(0)):
-        trep = twisted_boundary(g1, {"e": Phase(turn)})
+        trep = twisted_boundary(g1, {"e": PolarCoeff(1, turn)})
         rescaled = rescale_family(trep)
         assert verify_relations(rescaled, NORMALIZED).passed
         for phase in extract_kappa(rescaled).values():
-            assert phase == Phase(0)
+            assert phase == PolarCoeff(1, 0)
     with pytest.raises(GraphError, match="twisted"):
         rescale_family(boundary(g1))
 
 
 def test_twisted_zero_phase_acts_like_boundary():
     g1 = g1_loop()
-    trep = twisted_boundary(g1, {"e": Phase(0)})
+    trep = twisted_boundary(g1, {"e": PolarCoeff(1, 0)})
     brep = boundary(g1)
     elems = [
         path_isometry(g1, "e"),
@@ -512,7 +513,7 @@ def test_vertex_projections_nonzero_in_all_kinds():
         cut = canonical_cutting_set(g)
         if cut:
             reps.append(
-                twisted_boundary(g, {x: Phase(Fraction(1, 5)) for x in cut})
+                twisted_boundary(g, {x: PolarCoeff(1, Fraction(1, 5)) for x in cut})
             )
         for rep in reps:
             for v in g.vertices:
@@ -548,13 +549,13 @@ def test_representation_is_multiplicative_on_random_elements():
 def test_ideal_generators_vanish_in_kernel_representations():
     for name, g in _omega_graphs(12):
         brep = boundary(g)
-        for el in ikappa_generators(g, Phase(0)).elements():
+        for el in ikappa_generators(g, PolarCoeff(1, 0)).elements():
             assert operator_equal(brep, el, zero()), name
         cut = canonical_cutting_set(g)
         if cut:
-            kappa = {x: Phase(Fraction(2, 5)) for x in cut}
+            kappa = {x: PolarCoeff(1, Fraction(2, 5)) for x in cut}
             trep = twisted_boundary(g, kappa)
-            for el in ikappa_generators(g, Phase(Fraction(2, 5))).elements():
+            for el in ikappa_generators(g, PolarCoeff(1, Fraction(2, 5))).elements():
                 assert operator_equal(trep, el, zero()), name
 
 

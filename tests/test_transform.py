@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from graphck import (
+    ExactnessError,
     GaussianRational,
     Graph,
     GraphError,
-    Phase,
+    PolarCoeff,
     boundary,
     canonical_cutting_set,
     class_phases,
@@ -87,20 +88,34 @@ def test_reduced_graph_kills_entrance_free_cycles():
 def test_class_phases_forms():
     g2 = g2_cyc2()
     (cls,) = entrance_free_classes(g2)
-    constant = class_phases(g2, Phase(Fraction(1, 2)))
-    assert constant[cls] == Phase(Fraction(1, 2))
-    by_edge = class_phases(g2, {"e1": Phase(Fraction(1, 3))})
-    assert by_edge[cls] == Phase(Fraction(1, 3))
-    by_rep = class_phases(g2, {("e1", "e2"): Phase(Fraction(1, 5))})
-    assert by_rep[cls] == Phase(Fraction(1, 5))
+    constant = class_phases(g2, Fraction(1, 2))  # a rational turn
+    assert constant[cls] == PolarCoeff(1, Fraction(1, 2))
+    by_edge = class_phases(g2, {"e1": PolarCoeff(1, Fraction(1, 3))})
+    assert by_edge[cls] == PolarCoeff(1, Fraction(1, 3))
+    by_rep = class_phases(g2, {("e1", "e2"): PolarCoeff(1, Fraction(1, 5))})
+    assert by_rep[cls] == PolarCoeff(1, Fraction(1, 5))
     with pytest.raises(GraphError, match="misses"):
         class_phases(g2, {})
-    assert class_phases(g2, GaussianRational(0, 1))[cls] == Phase(Fraction(1, 4))
+    assert class_phases(g2, GaussianRational(0, 1))[cls] == PolarCoeff(1, Fraction(1, 4))
+
+
+def test_a_complex_constant_gives_every_class_one_unit():
+    """``class_phases`` and ``rescale_generators`` read one non-mapping kappa
+    as a constant, a complex unit included, and refuse a complex non-unit."""
+    g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "u"), ("f", "w", "w")])
+    for unit in (1j, complex(0.6, 0.8)):
+        assert list(class_phases(g, unit).values()) == [unit, unit]
+        rs = rescale_generators(g, ("e1", "f"), unit)
+        assert rs.edge_phases == {"e1": unit.conjugate(), "f": unit.conjugate()}
+        assert f"{unit} * p[w] - s[f]" in ikappa_generators(g, unit).describe()
+    for call in (lambda k: class_phases(g, k), lambda k: rescale_generators(g, ("e1", "f"), k)):
+        with pytest.raises(ExactnessError, match="is not a unit scalar"):
+            call(2j)
 
 
 def test_class_phases_keys_name_exactly_one_class():
     g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "u"), ("f", "w", "w")])
-    t = Phase(Fraction(1, 3))
+    t = PolarCoeff(1, Fraction(1, 3))
     for call in (class_phases, ikappa_generators):
         with pytest.raises(GraphError, match="kappa key 'zz' names no entrance-free class"):
             call(g, {"e1": t, "f": t, "zz": t})
@@ -131,28 +146,28 @@ def test_infinite_order_units_are_refused_at_the_call():
 
 
 def test_ikappa_generators_examples():
-    gens = ikappa_generators(g1_loop(), Phase(0))
+    gens = ikappa_generators(g1_loop(), PolarCoeff(1, 0))
     assert gens.describe() == ["delta[v]", "p[v] - s[e]"]
-    gens2 = ikappa_generators(g2_cyc2(), Phase(Fraction(1, 2)))
+    gens2 = ikappa_generators(g2_cyc2(), PolarCoeff(1, Fraction(1, 2)))
     assert gens2.describe() == [
         "delta[u]",
         "delta[v]",
         "-1 * p[v] - s[e1 e2]",
         "-1 * p[u] - s[e2 e1]",
     ]
-    gens3 = ikappa_generators(g3_ent(), Phase(0))
+    gens3 = ikappa_generators(g3_ent(), PolarCoeff(1, 0))
     assert gens3.describe() == ["delta[u]", "delta[v]"]
 
 
 def test_jkappa_generators_examples():
-    assert jkappa_generators(toeplitz_graph(g1_loop()), Phase(0)).describe() == [
+    assert jkappa_generators(toeplitz_graph(g1_loop()), PolarCoeff(1, 0)).describe() == [
         "p[beta:v]",
         "p[alpha:v] - s[alpha:e]",
     ]
-    assert jkappa_generators(toeplitz_graph(g4_line()), Phase(0)).describe() == [
+    assert jkappa_generators(toeplitz_graph(g4_line()), PolarCoeff(1, 0)).describe() == [
         "p[beta:v]"
     ]
-    assert jkappa_generators(toeplitz_graph(g3_ent()), Phase(0)).describe() == [
+    assert jkappa_generators(toeplitz_graph(g3_ent()), PolarCoeff(1, 0)).describe() == [
         "p[beta:u]",
         "p[beta:v]",
     ]
@@ -160,15 +175,15 @@ def test_jkappa_generators_examples():
 
 def test_ideal_generators_vanish_in_matching_representation():
     for _, g in CORPUS[:10]:
-        gens = ikappa_generators(g, Phase(0))
+        gens = ikappa_generators(g, PolarCoeff(1, 0))
         rep = boundary(g)
         nil = zero()
         for el in gens.elements():
             assert operator_equal(rep, el, nil)
         if entrance_free_classes(g):
-            kappa = {x: Phase(Fraction(1, 3)) for x in canonical_cutting_set(g)}
+            kappa = {x: PolarCoeff(1, Fraction(1, 3)) for x in canonical_cutting_set(g)}
             twisted = twisted_boundary(g, kappa)
-            for el in ikappa_generators(g, Phase(Fraction(1, 3))).elements():
+            for el in ikappa_generators(g, PolarCoeff(1, Fraction(1, 3))).elements():
                 assert operator_equal(twisted, el, zero())
 
 
@@ -193,7 +208,7 @@ def test_dictionary_pins_agree_on_alpha_sector():
         tg = toeplitz_graph(g)
         fam = toeplitz_family(tg)
         brep = boundary(tg.graph)
-        jgens = jkappa_generators(tg, Phase(0))
+        jgens = jkappa_generators(tg, PolarCoeff(1, 0))
         for phase, cls in jgens.pins:
             mu_alpha = cls.representative
             base_mu = next(
@@ -213,24 +228,24 @@ def test_dictionary_pins_agree_on_alpha_sector():
 
 def test_rescale_generators_quarter_turn_example():
     g1 = g1_loop()
-    rs = rescale_generators(g1, ("e",), {"e": Phase(Fraction(1, 4))})
+    rs = rescale_generators(g1, ("e",), {"e": PolarCoeff(1, Fraction(1, 4))})
     # s_e picks up the conjugate phase
-    assert rs.edge_phases["e"] == Phase(Fraction(3, 4))
+    assert rs.edge_phases["e"] == PolarCoeff(1, Fraction(3, 4))
     s_e, p_v = path_isometry(g1, "e"), vertex_projection(g1, "v")
-    assert rs.rescale_element(s_e) == s_e.scaled(Phase(Fraction(3, 4)))
+    assert rs.rescale_element(s_e) == s_e.scaled(PolarCoeff(1, Fraction(3, 4)))
     # the untwisted pin goes to -i times the twisted pin i p_v - s_e
-    twisted_pin = p_v.scaled(Phase(Fraction(1, 4))) - s_e
-    assert rs.rescale_element(p_v - s_e) == twisted_pin.scaled(Phase(Fraction(3, 4)))
+    twisted_pin = p_v.scaled(PolarCoeff(1, Fraction(1, 4))) - s_e
+    assert rs.rescale_element(p_v - s_e) == twisted_pin.scaled(PolarCoeff(1, Fraction(3, 4)))
 
 
 def test_rescale_identity_and_roundtrip():
     g2 = g2_cyc2()
-    rs = rescale_generators(g2, ("e1",), {"e1": Phase(Fraction(1, 2))})
-    back = rescale_generators(g2, ("e1",), {"e1": Phase(Fraction(1, 2)).conjugate()})
+    rs = rescale_generators(g2, ("e1",), {"e1": PolarCoeff(1, Fraction(1, 2))})
+    back = rescale_generators(g2, ("e1",), {"e1": PolarCoeff(1, Fraction(1, 2)).conjugate()})
     s_e1, s_e2 = path_isometry(g2, "e1"), path_isometry(g2, "e2")
     assert rs.rescale_element(s_e1) == -s_e1
     assert rs.rescale_element(s_e2) == s_e2  # off-cutting-set edges are fixed
-    trivial = rescale_generators(g2, ("e1",), Phase(0))
+    trivial = rescale_generators(g2, ("e1",), PolarCoeff(1, 0))
     for a in (s_e1, s_e2 * s_e1.adjoint(), s_e1 * s_e2 + s_e2.adjoint()):
         assert back.rescale_element(rs.rescale_element(a)) == a
         assert trivial.rescale_element(a) == a
@@ -243,13 +258,13 @@ def test_rescale_roundtrip_on_corpus_classes():
         if not entrance_free_classes(g):
             continue
         cut = canonical_cutting_set(g)
-        kappa = {x: Phase(Fraction(i + 1, 7)) for i, x in enumerate(cut)}
+        kappa = {x: PolarCoeff(1, Fraction(i + 1, 7)) for i, x in enumerate(cut)}
         rs = rescale_generators(g, cut, kappa)
         back = rescale_generators(g, cut, {x: ph.conjugate() for x, ph in kappa.items()})
         gens = ikappa_generators(g, kappa)
-        units = [Phase(0)] * len(gens.delta_vertices)
+        units = [PolarCoeff(1, 0)] * len(gens.delta_vertices)
         units += [phase.conjugate() for phase, cls in gens.pins for _ in cls.members]
-        untwisted = ikappa_generators(g, Phase(0)).elements()
+        untwisted = ikappa_generators(g, PolarCoeff(1, 0)).elements()
         assert len(untwisted) == len(units)
         for before, after, unit in zip(untwisted, gens.elements(), units):
             assert rs.rescale_element(before) == after.scaled(unit)
@@ -258,7 +273,7 @@ def test_rescale_roundtrip_on_corpus_classes():
 
 def test_rescale_generators_requires_kappa_on_the_cutting_set():
     g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "u"), ("f", "w", "w")])
-    third = Phase(Fraction(1, 3))
+    third = PolarCoeff(1, Fraction(1, 3))
     message = "kappa must be defined exactly on the cutting set"
     with pytest.raises(GraphError, match=message):
         rescale_generators(g, ("e1", "f"), {"e1": third})
