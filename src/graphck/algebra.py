@@ -40,6 +40,13 @@ def compose(left: tuple[Path, Path], right: tuple[Path, Path]) -> tuple[Path, Pa
     return (a, d.concat(b.strip_prefix(c))) if b.starts_with(c) else None
 
 
+def combos_equal(d1: Mapping, d2: Mapping) -> bool:
+    """Equality of two coefficient maps: the same keys, equal scalars."""
+    if set(d1) != set(d2):
+        return False
+    return all(exact.scalars_equal(c, d2[k]) for k, c in d1.items())
+
+
 class AlgebraElement:
     """A finite formal sum of monomials c * s_alpha s_beta^*."""
 
@@ -108,11 +115,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(
-            exact.scalars_equal(c, other.terms[k]) for k, c in self.terms.items()
-        )
+        return combos_equal(self.terms, other.terms)
 
     def __hash__(self):
         raise TypeError("AlgebraElement is not hashable")

@@ -144,6 +144,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_transform(args) -> int:
     g = _load_graph(args.graph)
     if args.toeplitz:
+        if args.cutting_set is not None:
+            raise GraphError("--cutting-set only applies to --reduce")
         tg = toeplitz_graph(g)
         emitted = tg.graph
         result = {
@@ -157,7 +159,7 @@ def _cmd_transform(args) -> int:
     else:
         cutting = (
             tuple(args.cutting_set.split(","))
-            if args.cutting_set
+            if args.cutting_set is not None
             else canonical_cutting_set(g)
         )
         rg = reduced_graph(g, cutting)
@@ -226,18 +228,18 @@ def _parse_kappa(text: str) -> dict[str, Fraction]:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     if args.rep == TWISTED:
-        table = _parse_kappa(args.kappa) if args.kappa else {}
+        table = _parse_kappa(args.kappa) if args.kappa is not None else {}
         try:
             rep = twisted_boundary(g, table)
         except GraphError as err:
-            if not args.kappa:
+            if args.kappa is None:
                 raise GraphError(
                     "--rep=twisted requires --kappa covering each "
                     "entrance-free class"
                 ) from err
             raise
     else:
-        if args.kappa:
+        if args.kappa is not None:
             raise GraphError("--kappa only applies to --rep=twisted")
         rep = {
             LEFT_REGULAR: left_regular,

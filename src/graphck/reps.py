@@ -46,10 +46,11 @@ left-regular the CK defect at v fixes xi_v and kills every other empty
 path, and s_mu moves xi_{r(mu)} to xi_mu; the empty paths come first in the
 test set, so each CK[v] and R[mu] fails with witness xi_v and xi_{r(mu)}.
 A custom family decides T1-T3, CK and R with ``operator_equal``, T3 as
-d^* d = d for the CK defect d, which holds exactly when d is a projection.
-Test sets serve only its witness search: a relation already known to fail
-lists the test set of the requested depth lazily, in its sorted order, up
-to its least witness (at most ``WORK_BUDGET`` paths and vectors).
+d^* d = d for the CK defect d, which holds exactly when d is a projection,
+and R as s_mu = c p_{r(mu)} (``_cycle_scalar``).  Test sets serve only its
+witness search: a relation already known to fail lists the test set of the
+requested depth lazily, in its sorted order, up to its least witness (at
+most ``WORK_BUDGET`` paths and vectors).
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact
-from .algebra import (AlgebraElement, GeneratorFamily, ck_defect, efree_rotation_by_source,
-                      strip_rotation, w_normal_form)
+from .algebra import (AlgebraElement, GeneratorFamily, ck_defect, combos_equal, efree_rotation_by_source,
+                      strip_rotation)
 from .boundary import BoundaryPath, omega_supported, prepend, vector_layers
-from .cycles import checked_cutting_set, class_of_edge, entrance_free_classes, is_cycle
+from .cycles import checked_cutting_set, class_of_edge, entrance_free_classes
 from .exact import Cyclotomic
 from .graph import Graph, GraphError, Path, path_layers
 from .transform import rational_phase, twist
@@ -167,24 +168,23 @@ def apply(rep: Representation, a: AlgebraElement, x):
     return {z: w for z, w in out.items() if not exact.is_zero(w)}
 
 
-def combos_equal(d1, d2) -> bool:
-    if set(d1) != set(d2):
-        return False
-    return all(exact.scalars_equal(c, d2[k]) for k, c in d1.items())
-
-
 def operator_equal(rep: Representation, a: AlgebraElement, b: AlgebraElement) -> bool:
     """Equality of the induced operators, in closed form (see the module
     docstring)."""
-    if rep.kind == LEFT_REGULAR:
-        return a == b
+    return combos_equal(*_normal_forms(rep, a, b))
+
+
+def _normal_forms(rep: Representation, a: AlgebraElement, b: AlgebraElement) -> tuple[dict, dict]:
+    """The coefficient maps that are equal when the operators are: the terms on
+    left-regular, elsewhere the boundary normal forms over the joint heads."""
     ta, tb = a.terms, b.terms
+    if rep.kind == LEFT_REGULAR:
+        return ta, tb
     if rep.kind == TWISTED:
         ta, tb = ({k: twist(c, *k, rep.kappa) for k, c in t.items()} for t in (ta, tb))
     heads = {(beta.range, beta.edges[:k])
              for t in (ta, tb) for _, beta in t for k in range(len(beta))}
-    return combos_equal(_boundary_normal_form(rep.graph, ta, heads),
-                        _boundary_normal_form(rep.graph, tb, heads))
+    return _boundary_normal_form(rep.graph, ta, heads), _boundary_normal_form(rep.graph, tb, heads)
 
 
 def _boundary_normal_form(g: Graph, terms, heads) -> dict:
@@ -263,6 +263,14 @@ def _least_witness(rep: Representation, depth: int, fails):
     return next((x for x in _test_vectors(rep, depth) if fails(x)), None)
 
 
+def _witness(rep: Representation, depth: int, a: AlgebraElement, b: AlgebraElement):
+    """The least test vector of ``depth`` where a and b differ, or None; none
+    is listed when a and b are equal operators."""
+    if operator_equal(rep, a, b):
+        return None
+    return _least_witness(rep, depth, lambda x: not combos_equal(apply(rep, a, x), apply(rep, b, x)))
+
+
 def _class_scalar(rep: Representation, mu: Path):
     """(witness, scalar) of the canonical s_mu for an entrance-free rotation
     mu, in closed form.  On left-regular, p_{r(mu)} fixes xi_{r(mu)}, which
@@ -274,41 +282,27 @@ def _class_scalar(rep: Representation, mu: Path):
 
 
 def _cycle_scalar(rep: Representation, fam: GeneratorFamily, mu: Path, depth: int):
-    """Whether a custom family's s_mu acts as one scalar on the test vectors x
-    that its p_{r(mu)} fixes.
-
-    Returns (witness, scalar): (None, c) on success, (x, None) for the least
-    vector x where s_mu is not the scalar it takes on the first, and
-    (None, None) when p_{r(mu)} fixes no vector.  The scalar is read on the
-    periodic point gamma^inf of the first term s_gamma of s_mu whose gamma is
-    a period of the basis (a simple cycle; on omega an entrance-free rotation;
-    none on left-regular), and s_mu = c p_{r(mu)} is decided by
-    ``operator_equal``, so only a failure scans.
-    """
+    """(witness, scalar) for R, s_mu = c p_{r(mu)}, on a custom family: (x,
+    None) for the least witness x, (None, c) when there is none at ``depth``,
+    and (None, None) when p_{r(mu)} fixes no test vector.  If s_mu = c
+    p_{r(mu)}, c is s_mu's coefficient at a key where the normal form of
+    p_{r(mu)} has coefficient 1, and R is decided with no test vector.
+    Otherwise c is read on the first test vector x that p_{r(mu)} fixes (x is
+    the witness when s_mu moves it), and ``operator_equal`` decides R."""
     elem, at_range = fam.s_path(mu), fam.p[mu.range]
-    g = rep.graph
-    gamma = None if rep.kind == LEFT_REGULAR else next(
-        (a for (a, b), _ in elem.terms_sorted() if b.is_empty and is_cycle(a)
-         and (rep.kind != OMEGA or w_normal_form(g, a).is_empty)), None)
-    if gamma is not None:
-        x = BoundaryPath(g.empty_path(gamma.range), gamma)
-        out = apply(rep, elem, x)
-        # out[x] comes from the representation, not a caller: it may be inexact on an exact family
-        if list(out) == [x] and operator_equal(
-                rep, elem, at_range.map_coefficients(lambda c: exact.mul(out[x], c))):
-            return None, out[x]  # c x = s_mu x = c p_{r(mu)} x, so p_{r(mu)} fixes x
-    scalar = None
-    for x in _test_vectors(rep, depth):
-        if not combos_equal(apply(rep, at_range, x), {x: exact.ONE}):
-            continue
-        out = apply(rep, elem, x)
-        if len(out) != 1 or x not in out:
-            return x, None
-        if scalar is None:
-            scalar = out[x]
-        elif not exact.scalars_equal(out[x], scalar):
-            return x, None
-    return None, scalar
+    ms, mp = _normal_forms(rep, elem, at_range)
+    c = ms.get(next((k for k, v in mp.items() if exact.scalars_equal(v, exact.ONE)), None))
+    if c is not None and combos_equal(ms, {k: exact.mul(c, v) for k, v in mp.items()}):
+        return None, c
+    x = _least_witness(rep, depth, lambda x: combos_equal(apply(rep, at_range, x), {x: exact.ONE}))
+    if x is None:
+        return None, None
+    out = apply(rep, elem, x)
+    if list(out) != [x]:
+        return x, None
+    # out[x] comes from the representation, not a caller: it may be inexact on an exact family
+    witness = _witness(rep, depth, elem, at_range.map_coefficients(lambda v: exact.mul(out[x], v)))
+    return (None, out[x]) if witness is None else (witness, None)
 
 
 def _is_path_of(g: Graph, p: Path) -> bool:
@@ -333,10 +327,10 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
     the boundary, omega and twisted kinds only R can fail, on its scalar
     (``_class_scalar``); on left-regular each CK[v] fails at xi_v and each
     R[mu] at xi_{r(mu)}.  A custom family decides every relation with
-    ``operator_equal``, and only a relation that fails is scanned for its
-    least witness in the test set of ``depth``; one with no witness there
-    passes at that depth.  All failing instances are reported, each with its
-    least witness.  A custom family that lacks a generator of its index
+    ``operator_equal``, R as s_mu = c p_{r(mu)} (``_cycle_scalar``), and only
+    a relation that fails is scanned for its least witness in the test set of
+    ``depth``; one with no witness there passes at that depth.  All failing
+    instances are reported, each with its least witness.  A custom family that lacks a generator of its index
     graph, or has a key that is no path of ``rep.graph``, raises GraphError.
     """
     if level not in LEVELS:
@@ -366,9 +360,7 @@ def verify_relations(rep: Representation, level: str, depth: int | None = None,
             failures += [RelationFailure(f"CK[{v}]", idx.empty_path(v).render()) for v in receiving]
     else:
         def identity(name, e1, e2):
-            if operator_equal(rep, e1, e2):
-                return
-            witness = _least_witness(rep, depth, lambda x: not combos_equal(apply(rep, e1, x), apply(rep, e2, x)))
+            witness = _witness(rep, depth, e1, e2)
             if witness is not None:
                 failures.append(RelationFailure(name, witness.render()))
 

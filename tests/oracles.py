@@ -483,24 +483,26 @@ def _boundary_normal_form(g: Graph, a: AlgebraElement, length: int) -> AlgebraEl
 
 
 def _scan_cycle_scalar(rep, fam, mu, basis):
-    """(witness, scalar): whether s_mu acts as one scalar on every basis
-    vector that the family's p_{r(mu)} fixes; witness is None on success,
-    scalar None on failure."""
+    """(witness, scalar) for R, s_mu = c p_{r(mu)}, by a scan of ``basis``:
+    c is read on the first basis vector x that the family's p_{r(mu)} fixes
+    (x is the witness when s_mu moves it), and the witness is then the first
+    basis vector on which s_mu and c p_{r(mu)} differ.  Witness None on
+    success, scalar None on failure, both None when p_{r(mu)} fixes no basis
+    vector."""
     elem = fam.s_path(mu)
     at_range = fam.p[mu.range]
-    scalar = None
-    for x in basis:
-        if not combos_equal(apply(rep, at_range, x), {x: exact.ONE}):
-            continue
-        out = apply(rep, elem, x)
-        if len(out) != 1 or x not in out:
-            return x, None
-        k = out[x]
-        if scalar is None:
-            scalar = k
-        elif not exact.scalars_equal(k, scalar):
-            return x, None
-    return None, scalar
+    x = next((x for x in basis if combos_equal(apply(rep, at_range, x), {x: exact.ONE})), None)
+    if x is None:
+        return None, None
+    out = apply(rep, elem, x)
+    if list(out) != [x]:
+        return x, None
+    c = out[x]
+    for y in basis:
+        want = {z: exact.mul(c, k) for z, k in apply(rep, at_range, y).items()}
+        if not combos_equal(apply(rep, elem, y), want):
+            return y, None
+    return None, c
 
 
 def verify_relations_oracle(rep, level: str, depth: int | None = None, family=None) -> RelationReport:

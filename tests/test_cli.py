@@ -130,9 +130,24 @@ def test_transform_refuses_a_repeated_or_empty_cutting_set_edge(files, capsys):
         ("--cutting-set=e1,e1", "cutting set names edge 'e1' twice"),
         ("--cutting-set=,", "cutting set names an empty edge"),
         ("--cutting-set=e2,", "cutting set names an empty edge"),
+        ("--cutting-set=", "cutting set names an empty edge"),
     ):
         argv = ["transform", files["g2"], "--reduce", option]
         assert _run(capsys, argv) == (2, "", f"graphck: error: {message}\n"), option
+
+
+def test_empty_or_misplaced_options_are_refused(files, capsys):
+    """An empty option value is given, not absent, and an option that the
+    mode ignores is refused: --cutting-set outside --reduce, --kappa outside
+    --rep=twisted."""
+    for argv, message in (
+        (["transform", files["g2"], "--toeplitz", "--cutting-set=bogus"], "--cutting-set only applies to --reduce"),
+        (["transform", files["g2"], "--toeplitz", "--cutting-set="], "--cutting-set only applies to --reduce"),
+        (["verify", files["g2"], "--rep=boundary", "--level=ck", "--kappa="], "--kappa only applies to --rep=twisted"),
+        (["verify", files["g2"], "--rep=twisted", "--level=ck", "--kappa="],
+         "malformed kappa entry ''; use edge:num/den"),
+    ):
+        assert _run(capsys, argv) == (2, "", f"graphck: error: {message}\n"), argv
 
 
 def test_tails_toeplitz_of_g1(files, capsys):

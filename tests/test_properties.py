@@ -13,6 +13,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from graphck import (
     Graph,
     GaussianRational,
+    GeneratorFamily,
     boundary_set,
     canonical_rotation,
     canonicalize,
@@ -31,6 +32,7 @@ from graphck import (
     w_normal_form,
 )
 from graphck import (
+    NORMALIZED,
     REDUCED,
     TCK,
     PolarCoeff,
@@ -42,6 +44,7 @@ from graphck import (
     is_maximal_tail,
     left_regular,
     min_verification_depth,
+    monomial,
     omega,
     omega_supported,
     operator_equal,
@@ -470,6 +473,46 @@ def test_verify_relations_matches_the_scan(g, k, extra):
             depth = min_verification_depth(g, level) + (extra or 0)
             assert report_tuple(verify_relations(rep, level, depth, fam)) == report_tuple(
                 verify_relations_oracle(rep, level, depth, fam)), (rep.kind, level)
+
+
+@st.composite
+def perturbed_families(draw):
+    """A left-regular, boundary or omega representation of a graph of at most
+    4 vertices with an entrance-free cycle, and its canonical family with one
+    monomial c s_alpha s_beta^* (paths of length at most 2) added to one
+    generator, most often to one that a cycle relation R reads."""
+    g = draw(graphs(max_vertices=4, max_edges=6))
+    classes = entrance_free_classes(g)
+    assume(classes)
+    make = draw(st.sampled_from([left_regular, boundary, omega]))
+    rep = boundary(g) if make is omega and not omega_supported(g) else make(g)
+    mu = draw(st.sampled_from([m for cls in classes for m in cls.members]))
+    on_mu = [("p", mu.range)] + [("s", e) for e in mu.edges]
+    anywhere = [("p", v) for v in g.vertices] + [("s", e) for e in g.edges]
+    kind, name = draw(st.sampled_from(on_mu if draw(st.booleans()) else anywhere))
+    paths = enumerate_paths_oracle(g, 2)
+    alpha = draw(st.sampled_from(paths))
+    beta = draw(st.sampled_from([b for b in paths if b.source == alpha.source]))
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), GaussianRational(0, 1), GaussianRational(1, 1)]))
+    fam = canonical_family(g)
+    gens = {"p": dict(fam.p), "s": dict(fam.s)}
+    gens[kind][name] = gens[kind][name] + monomial(g, alpha, beta, c)
+    return rep, GeneratorFamily(g, gens["p"], gens["s"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_families())
+def test_cycle_relation_on_perturbed_families_matches_the_scan(case):
+    """R decided by ``operator_equal``, with a witness search only when it
+    fails, reports what a scan of the whole test set reports on canonical
+    families with one generator perturbed (most of which also fail T1-T3)."""
+    rep, fam = case
+    depth = min_verification_depth(fam.index, NORMALIZED) + len(rep.graph.vertices)
+    assume(_small_test_set(rep, depth))
+    for level in (REDUCED, NORMALIZED):
+        report = verify_relations(rep, level, family=fam)
+        event(f"{rep.kind} R {'fails' if any(f.relation.startswith('R[') for f in report.failures) else 'holds'}")
+        assert report_tuple(report) == report_tuple(verify_relations_oracle(rep, level, family=fam)), level
 
 
 @settings(max_examples=40, deadline=None)

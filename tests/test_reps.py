@@ -265,6 +265,76 @@ def test_cycle_relation_on_the_toeplitz_family_reads_the_twin_projections():
             ("R[e]", witness)], rep.kind
 
 
+def _loop_family(g, p, s):
+    """The index graph of one loop e at v, with p[v] = p and s[e] = s over g."""
+    return GeneratorFamily(Graph(["v"], [("e", "v", "v")]), {"v": p}, {"e": s})
+
+
+def test_cycle_relation_is_an_operator_identity():
+    """R[e] holds when s_e = c p_v as operators.  Over two disjoint loops e at
+    v and f at u, s_e + s_f acts as the identity on every vector that p_v
+    fixes, yet it keeps |(f), which p_v kills: R[e] fails there, and no scalar
+    is reported."""
+    h = Graph(["u", "v"], [("e", "v", "v"), ("f", "u", "u")])
+    fam = _loop_family(h, vertex_projection(h, "v"), path_isometry(h, "e") + path_isometry(h, "f"))
+    assert not operator_equal(boundary(h), fam.s["e"], fam.p["v"])
+    for rep in (boundary(h), omega(h)):
+        report = verify_relations(rep, REDUCED, family=fam)
+        assert [(f.relation, f.witness) for f in report.failures if f.relation.startswith("R[")] == [
+            ("R[e]", "|(f)")], rep.kind
+        assert report.kappa == (), rep.kind
+        assert report_tuple(report) == report_tuple(verify_relations_oracle(rep, REDUCED, family=fam))
+
+
+def _fan_graph(n):
+    """w and a0..a(n-1), with x_i : a_i -> w and y_i_j : a_j -> a_i for i < j:
+    the test sets grow as 2^n."""
+    edges = [(f"x{i}", f"a{i}", "w") for i in range(n)]
+    edges += [(f"y{i}_{j}", f"a{j}", f"a{i}") for j in range(n) for i in range(j)]
+    return Graph(["w"] + [f"a{i}" for i in range(n)], edges)
+
+
+def test_a_cycle_relation_that_holds_lists_no_test_vector(refuse_test_sets):
+    """With p[v] = s[e] = p_w, R[e] holds with scalar 1: the normal form of p_w
+    has coefficient 1 at its one key, so no test vector is listed, at the
+    default depth or at any explicit one."""
+    g = _fan_graph(18)
+    pw = vertex_projection(g, "w")
+    fam = _loop_family(g, pw, pw)
+    for rep in (left_regular(g), boundary(g)):
+        for depth in (None, 2, 40):
+            report = verify_relations(rep, NORMALIZED, depth, family=fam)
+            assert report.passed and report.kappa == (("e", "1"),), (rep.kind, depth)
+
+
+def test_a_cycle_relation_that_holds_passes_at_any_depth():
+    """R holds for p[v] = s[e] = q, with q = s_a^4 (s_a^4)^* over two loops a
+    and b at w, although on left-regular q fixes no path shorter than a^4: the
+    scan reads no scalar at depth 3, and R passes with scalar 1 all the same,
+    as T1-CK pass once ``operator_equal`` holds."""
+    g = Graph(["w"], [("a", "w", "w"), ("b", "w", "w")])
+    s_a4 = path_isometry(g, g.path(["a"] * 4))
+    fam = _loop_family(g, s_a4 * s_a4.adjoint(), s_a4 * s_a4.adjoint())
+    assert verify_relations_oracle(left_regular(g), REDUCED, 3, fam).failures[0].witness == "no test vector"
+    for rep in (left_regular(g), boundary(g)):
+        for depth in (2, 3, 5):
+            report = verify_relations(rep, REDUCED, depth, fam)
+            assert report.passed and report.kappa == (("e", "1"),), (rep.kind, depth)
+
+
+def test_cycle_relation_reports_a_non_unit_scalar_and_a_missing_test_vector():
+    """Over x : s -> w, s[e] = 2 p_w is 2 p[v] but 2 is no unit; the zero
+    family fixes no test vector to read a scalar on."""
+    g = Graph(["s", "w"], [("x", "s", "w")])
+    pw = vertex_projection(g, "w")
+    for fam, problem in ((_loop_family(g, pw, pw.scaled(2)), "scalar 2 is not a unit"),
+                         (_loop_family(g, zero(), zero()), "no test vector")):
+        for rep in (boundary(g), left_regular(g)):
+            failures = verify_relations(rep, REDUCED, family=fam).failures
+            assert [(f.relation, f.witness) for f in failures if f.relation.startswith("R[")] == [
+                ("R[e]", problem)], (rep.kind, problem)
+
+
 def test_passing_reports_build_no_test_set(refuse_test_sets):
     rng = random.Random(12)
     for name, g in CORPUS:
